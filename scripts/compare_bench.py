@@ -22,8 +22,7 @@ Self mode (one file):
 
     scripts/compare_bench.py --self BENCH_micro.json [--min-speedup X]
                              [--circuit NAME] [--min-tree-speedup Y]
-                             [--min-bitpar-speedup Z]
-                             [--min-closure-speedup W]
+                             [--min-small-ratio Z]
 
 Validates the compiled-vs-reference micro report on its own terms:
 every row must carry both engines' numbers and the ``identical``
@@ -32,30 +31,11 @@ bit-identity verdict, the gated circuit's ``throughput_ratio``
 --min-speedup (default 2.0), the report must contain a path-tree row
 (flat per-path re-runs vs the shared-prefix-tree DFS on the deep
 carry mesh) whose ratio reaches --min-tree-speedup (default 2.0), and
-it must contain a bitpar row (widest lane engine vs the compiled
-scalar engine on per-lane-identical seed-vector programs) whose ratio
-reaches --min-bitpar-speedup (default 4.0).  It must also contain the
-closure rows (per-literal assert sweep, static-closure row install vs
-the fused scalar drain, DESIGN.md §14) for both mcnc-like and
-deep-mesh, each bit-identical per literal and each reaching
---min-closure-speedup (default 1.5).  A missing path-tree, bitpar or
-closure row fails: it means bench_micro ran without that study.
-
-Three SIMD-era gates ride on the same report (DESIGN.md §15):
-
-  * small circuits: the classify-fs rows for ``example`` and ``c17``
-    must exist and reach --min-small-ratio (default 1.0) — the
-    compiled engine must not lose to the frozen reference even when
-    the whole run is microseconds;
-  * lane-width sweep: the ``lane-sweep`` rows for mcnc-like and
-    deep-mesh must cover lane widths 64/128/256/512, each
-    bit-identical, each at or above 1.0x scalar, and widening must
-    pay: ratio(512) / ratio(64) >= --min-simd-speedup (default 2.0);
-  * lane-packed classify: the ``lane-packed`` rows (end-to-end
-    classify at --lanes 512 vs --lanes 64) for both circuits must be
-    bit-identical with ratio >= --min-packed-ratio (default 0.85) —
-    a tripwire that the demand clamp keeps wide lane requests from
-    regressing the end-to-end path.
+the classify-fs rows for the small circuits ``example`` and ``c17``
+must reach --min-small-ratio (default 1.0) — the compiled engine must
+not lose to the frozen reference even when the whole run is
+microseconds.  A missing path-tree or small-circuit row fails: it
+means bench_micro ran without that study.
 
 Trend mode (two files):
 
@@ -64,7 +44,7 @@ Trend mode (two files):
                              [--trend-min-props N]
 
 Diffs a fresh run against the committed baseline report by row
-*identity* — (kind, circuit, lanes, narrow_lanes, threads) — instead
+*identity* — (kind, circuit, threads) — instead
 of position, so reports from different code revisions still pair up.
 Only machine-portable relative metrics are gated: ``throughput_ratio``
 and ``speedup``, plus the serial/parallel ratio synthesized from
@@ -208,8 +188,7 @@ def diff_reports(old, new, tolerance, ignore_time):
 
 
 def check_self(report, min_speedup, circuit, min_tree_speedup,
-               min_bitpar_speedup, min_closure_speedup, min_small_ratio,
-               min_simd_speedup, min_packed_ratio):
+               min_small_ratio):
     failures = []
     if report.get("bench") != "micro":
         failures.append(
@@ -217,11 +196,7 @@ def check_self(report, min_speedup, circuit, min_tree_speedup,
         return failures
     gated = None
     tree = None
-    bitpar = None
-    closures = {}
     small = {}
-    sweeps = {}
-    packed = {}
     for index, row in enumerate(report["rows"]):
         label = row_label(report, index)
         for field in ("propagations", "reference_seconds", "compiled_seconds",
@@ -241,14 +216,6 @@ def check_self(report, min_speedup, circuit, min_tree_speedup,
             small[row.get("circuit")] = row
         if row.get("kind") == "path-tree":
             tree = row
-        if row.get("kind") == "bitpar":
-            bitpar = row
-        if row.get("kind") == "lane-sweep":
-            sweeps[(row.get("circuit"), row.get("lanes"))] = row
-        if row.get("kind") == "lane-packed":
-            packed[row.get("circuit")] = row
-        if row.get("kind") == "closure":
-            closures[row.get("circuit")] = row
     if gated is None:
         failures.append(f"no classify-fs row for gated circuit {circuit!r}")
     else:
@@ -266,15 +233,6 @@ def check_self(report, min_speedup, circuit, min_tree_speedup,
             failures.append(
                 f"path-tree: throughput_ratio {ratio!r} is below the "
                 f"{min_tree_speedup:g}x floor")
-    if bitpar is None:
-        failures.append(
-            "no bitpar row (bench_micro ran without the lane-engine study)")
-    else:
-        ratio = bitpar.get("throughput_ratio")
-        if not isinstance(ratio, (int, float)) or ratio < min_bitpar_speedup:
-            failures.append(
-                f"bitpar: throughput_ratio {ratio!r} is below the "
-                f"{min_bitpar_speedup:g}x floor")
     for name in ("example", "c17"):
         row = small.get(name)
         if row is None:
@@ -288,66 +246,12 @@ def check_self(report, min_speedup, circuit, min_tree_speedup,
                 f"small circuit {name}: throughput_ratio {ratio!r} is below "
                 f"the {min_small_ratio:g}x floor (compiled-engine setup "
                 "overhead regressed)")
-    for name in ("mcnc-like", "deep-mesh"):
-        widths = (64, 128, 256, 512)
-        missing = [w for w in widths if (name, w) not in sweeps]
-        if missing:
-            failures.append(
-                f"lane-sweep {name}: missing width row(s) {missing} "
-                "(bench_micro ran without the full SIMD sweep)")
-            continue
-        for width in widths:
-            ratio = sweeps[(name, width)].get("throughput_ratio")
-            if not isinstance(ratio, (int, float)) or ratio < 1.0:
-                failures.append(
-                    f"lane-sweep {name} w={width}: throughput_ratio "
-                    f"{ratio!r} is below 1.0x (lane engine lost to scalar)")
-        narrow = sweeps[(name, 64)].get("throughput_ratio")
-        wide = sweeps[(name, 512)].get("throughput_ratio")
-        if (isinstance(narrow, (int, float)) and narrow > 0
-                and isinstance(wide, (int, float))
-                and wide / narrow < min_simd_speedup):
-            failures.append(
-                f"lane-sweep {name}: 512-wide / 64-wide = "
-                f"{wide / narrow:.3g} is below the {min_simd_speedup:g}x "
-                "widening floor")
-    for name in ("mcnc-like", "deep-mesh"):
-        row = packed.get(name)
-        if row is None:
-            failures.append(
-                f"no lane-packed row for {name} (bench_micro ran without "
-                "the end-to-end packed-classify study)")
-            continue
-        ratio = row.get("throughput_ratio")
-        if not isinstance(ratio, (int, float)) or ratio < min_packed_ratio:
-            failures.append(
-                f"lane-packed {name}: 64-lane/512-lane wall ratio {ratio!r} "
-                f"is below the {min_packed_ratio:g} floor (wide lane "
-                "requests regress the end-to-end classify path)")
-    for name in ("mcnc-like", "deep-mesh"):
-        row = closures.get(name)
-        if row is None:
-            failures.append(
-                f"no closure row for {name} (bench_micro ran without the "
-                "static-closure study)")
-            continue
-        ratio = row.get("throughput_ratio")
-        if not isinstance(ratio, (int, float)) or ratio < min_closure_speedup:
-            failures.append(
-                f"closure {name}: throughput_ratio {ratio!r} is below the "
-                f"{min_closure_speedup:g}x floor")
-        build = row.get("closure_build_seconds")
-        if not isinstance(build, (int, float)) or build < 0:
-            failures.append(
-                f"closure {name}: closure_build_seconds {build!r} is not a "
-                "non-negative number")
     return failures
 
 
 def trend_key(row):
     """Identity of a row across code revisions (not position)."""
-    return (row.get("kind"), row.get("circuit"), row.get("lanes"),
-            row.get("narrow_lanes"), row.get("threads"))
+    return (row.get("kind"), row.get("circuit"), row.get("threads"))
 
 
 def trend_metrics(row):
@@ -560,16 +464,8 @@ def main(argv):
                         help="circuit whose ratio is gated (self mode)")
     parser.add_argument("--min-tree-speedup", type=float, default=2.0,
                         help="ratio floor for the path-tree row (self mode)")
-    parser.add_argument("--min-bitpar-speedup", type=float, default=4.0,
-                        help="ratio floor for the bitpar row (self mode)")
-    parser.add_argument("--min-closure-speedup", type=float, default=1.5,
-                        help="ratio floor for the closure rows (self mode)")
     parser.add_argument("--min-small-ratio", type=float, default=1.0,
                         help="ratio floor for the example/c17 rows (self)")
-    parser.add_argument("--min-simd-speedup", type=float, default=2.0,
-                        help="512-wide over 64-wide widening floor (self)")
-    parser.add_argument("--min-packed-ratio", type=float, default=0.85,
-                        help="end-to-end 512-vs-64 lane floor (self mode)")
     parser.add_argument("--trend-tolerance", type=float, default=15.0,
                         help="allowed relative-metric drop in percent "
                              "(trend mode)")
@@ -607,10 +503,7 @@ def main(argv):
             parser.error("--self takes exactly one report")
         failures = check_self(load_report(args.files[0]), args.min_speedup,
                               args.circuit, args.min_tree_speedup,
-                              args.min_bitpar_speedup,
-                              args.min_closure_speedup,
-                              args.min_small_ratio, args.min_simd_speedup,
-                              args.min_packed_ratio)
+                              args.min_small_ratio)
     else:
         if len(args.files) != 2:
             parser.error("diff mode takes exactly two reports")

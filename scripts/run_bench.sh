@@ -34,43 +34,18 @@ BENCHES=(micro engines table1 table2 table3 testset ablation approx figures serv
 # *without* a path-tree row fails the gate outright.  Override:
 # RD_MIN_TREE_SPEEDUP=1.5 scripts/run_bench.sh
 #
-# The bitpar row (64-wide lane engine vs the compiled scalar engine on
-# per-lane-identical seed-vector programs) claims and gates 4x — the
-# lane engine's amortization headline; a micro report *without* a
-# bitpar row fails the gate outright.  Override:
-# RD_MIN_BITPAR_SPEEDUP=3 scripts/run_bench.sh
-#
-# The closure rows (per-literal assert sweep, static-closure row
-# install vs the fused scalar drain, on mcnc-like AND deep-mesh) claim
-# and gate 1.5x each; a micro report missing either closure row fails
-# the gate outright.  Override:
-# RD_MIN_CLOSURE_SPEEDUP=1.2 scripts/run_bench.sh
-#
-# The SIMD-era gates (DESIGN.md §15) ride on the same micro report:
-# the example/c17 classify-fs rows must not lose to the reference
+# The example/c17 classify-fs rows must not lose to the reference
 # engine (RD_MIN_SMALL_RATIO, quick allowance 0.9 — microsecond rows
-# carry the most sampling noise), the lane-width sweep's 512-wide row
-# must beat its own 64-wide row by RD_MIN_SIMD_SPEEDUP (the widening
-# claim), and the end-to-end lane-packed rows gate at
-# RD_MIN_PACKED_RATIO as a tripwire that wide --lanes requests never
-# regress the classify path (the demand clamp's contract).
+# carry the most sampling noise).
 case "$ARGS" in
   *--quick*) DEFAULT_MIN_SPEEDUP=1.9 DEFAULT_MIN_TREE_SPEEDUP=1.9
-             DEFAULT_MIN_BITPAR_SPEEDUP=3.8 DEFAULT_MIN_CLOSURE_SPEEDUP=1.4
-             DEFAULT_MIN_SMALL_RATIO=0.9 DEFAULT_MIN_SIMD_SPEEDUP=1.9
-             DEFAULT_MIN_PACKED_RATIO=0.8 ;;
+             DEFAULT_MIN_SMALL_RATIO=0.9 ;;
   *)         DEFAULT_MIN_SPEEDUP=2.0 DEFAULT_MIN_TREE_SPEEDUP=2.0
-             DEFAULT_MIN_BITPAR_SPEEDUP=4.0 DEFAULT_MIN_CLOSURE_SPEEDUP=1.5
-             DEFAULT_MIN_SMALL_RATIO=1.0 DEFAULT_MIN_SIMD_SPEEDUP=2.0
-             DEFAULT_MIN_PACKED_RATIO=0.85 ;;
+             DEFAULT_MIN_SMALL_RATIO=1.0 ;;
 esac
 MIN_SPEEDUP="${RD_MIN_SPEEDUP:-$DEFAULT_MIN_SPEEDUP}"
 MIN_TREE_SPEEDUP="${RD_MIN_TREE_SPEEDUP:-$DEFAULT_MIN_TREE_SPEEDUP}"
-MIN_BITPAR_SPEEDUP="${RD_MIN_BITPAR_SPEEDUP:-$DEFAULT_MIN_BITPAR_SPEEDUP}"
-MIN_CLOSURE_SPEEDUP="${RD_MIN_CLOSURE_SPEEDUP:-$DEFAULT_MIN_CLOSURE_SPEEDUP}"
 MIN_SMALL_RATIO="${RD_MIN_SMALL_RATIO:-$DEFAULT_MIN_SMALL_RATIO}"
-MIN_SIMD_SPEEDUP="${RD_MIN_SIMD_SPEEDUP:-$DEFAULT_MIN_SIMD_SPEEDUP}"
-MIN_PACKED_RATIO="${RD_MIN_PACKED_RATIO:-$DEFAULT_MIN_PACKED_RATIO}"
 
 # Committed baselines for the trend gate, snapshotted BEFORE the bench
 # binaries overwrite the reports in place.  Missing from HEAD (first
@@ -104,20 +79,15 @@ for name in "${BENCHES[@]}"; do
   fi
 done
 
-# Gate the compiled-engine, path-tree, bitpar and closure speedup
-# claims: the micro report must carry both engines' numbers, the
-# bit-identity verdicts, an mcnc-like ratio at or above the floor, and
-# path-tree, bitpar and closure rows at or above their floors (a
-# missing row is itself a failure).
+# Gate the compiled-engine and path-tree speedup claims: the micro
+# report must carry both engines' numbers, the bit-identity verdicts,
+# an mcnc-like ratio at or above the floor, and a path-tree row at or
+# above its floor (a missing row is itself a failure).
 if [ "$status" -eq 0 ]; then
   if ! python3 scripts/compare_bench.py --self BENCH_micro.json \
        --min-speedup "$MIN_SPEEDUP" \
        --min-tree-speedup "$MIN_TREE_SPEEDUP" \
-       --min-bitpar-speedup "$MIN_BITPAR_SPEEDUP" \
-       --min-closure-speedup "$MIN_CLOSURE_SPEEDUP" \
-       --min-small-ratio "$MIN_SMALL_RATIO" \
-       --min-simd-speedup "$MIN_SIMD_SPEEDUP" \
-       --min-packed-ratio "$MIN_PACKED_RATIO"; then
+       --min-small-ratio "$MIN_SMALL_RATIO"; then
     echo "bench_micro speedup gate FAILED" >&2
     status=1
   fi

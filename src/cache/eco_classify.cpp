@@ -23,8 +23,7 @@ constexpr std::uint64_t kConeSortSeed = 1;
 
 struct ConeRun {
   ClassifyResult result;
-  bool sort_aborted = false;
-  AbortReason sort_abort_reason = AbortReason::kNone;
+  AbortReason sort_abort_reason = AbortReason::kNone;  // Heu2 pre-runs
 };
 
 /// Builds the cone's sort and classifies it.  `limit` is the kept-key
@@ -52,12 +51,8 @@ ConeRun classify_cone(const Circuit& cone, const EcoOptions& options,
       sort = heuristic2_sort(cone, &tie_breaker, &fs_run, &nr_run,
                              &options.base);
       stats->prerun_work += fs_run.work + nr_run.work;
-      if (!fs_run.completed || !nr_run.completed) {
-        out.sort_aborted = true;
-        const ClassifyResult& bad = fs_run.completed ? nr_run : fs_run;
-        out.sort_abort_reason = bad.abort_reason == AbortReason::kNone
-                                    ? AbortReason::kWorkBudget
-                                    : bad.abort_reason;
+      out.sort_abort_reason = heuristic2_prerun_abort(fs_run, nr_run);
+      if (out.sort_abort_reason != AbortReason::kNone) {
         stats->sort_seconds += watch.elapsed_seconds();
         return out;
       }
@@ -101,11 +96,10 @@ EcoResult classify_eco(const Circuit& circuit, ConeCacheStore& store,
     throw std::invalid_argument(
         "classify_eco: the learned implication tier is not supported in eco "
         "mode (learned kept sets would poison cached cone records)");
-  if (options.base.sort != nullptr || options.base.compiled != nullptr ||
-      options.base.closure != nullptr)
+  if (options.base.sort != nullptr || options.base.compiled != nullptr)
     throw std::invalid_argument(
-        "classify_eco: base.sort/base.compiled/base.closure must be null "
-        "(the driver builds per-cone sorts and closures)");
+        "classify_eco: base.sort/base.compiled must be null (the driver "
+        "builds per-cone sorts)");
 
   Stopwatch watch;
   EcoResult out;
@@ -138,16 +132,10 @@ EcoResult classify_eco(const Circuit& circuit, ConeCacheStore& store,
       ++out.stats.misses;
       const ConeRun run = classify_cone(ex.cone, options, remaining,
                                         &out.stats);
-      if (run.sort_aborted) {
+      if (run.sort_abort_reason != AbortReason::kNone) {
         total.completed = false;
         total.abort_reason = run.sort_abort_reason;
         break;
-      }
-      if (options.base.implications != ImplicationTier::kOff) {
-        ++out.stats.closure_builds;
-        out.stats.closure_build_seconds += run.result.closure.build_seconds;
-        out.stats.closure.merge(run.result.closure);
-        total.closure.merge(run.result.closure);
       }
       if (!run.result.completed) {
         total.kept_paths += run.result.kept_paths;

@@ -31,9 +31,7 @@
 // tier — learned probing shrinks kept sets, so a record computed under
 // it would poison the cone cache for every non-learned client of the
 // same cone signature; classify_eco throws std::invalid_argument for
-// either.  The kClosure tier is result-identical to kOff and composes
-// freely (each reclassified cone builds its own closure).  work_limit
-// applies per cone.
+// either.  work_limit applies per cone.
 #pragma once
 
 #include <string>
@@ -48,7 +46,7 @@ struct EcoOptions {
   /// Per-cone sort recipe: "1" | "2" | "inverse" | "fus".
   std::string sort_spec = "2";
 
-  /// Thread/lane/work/guard/collect_paths_limit knobs, applied per
+  /// Thread/work/guard/collect_paths_limit knobs, applied per
   /// cone.  criterion/sort/compiled/collect_lead_counts are managed by
   /// the driver and must be left at their defaults.
   ClassifyOptions base;
@@ -65,15 +63,6 @@ struct EcoStats {
   /// (cached cones pay neither), mirroring RdIdentification.
   double sort_seconds = 0.0;
   std::uint64_t prerun_work = 0;
-
-  /// Static-closure observability over the reclassified cones (cached
-  /// cones pay no closure work; base.implications == kOff leaves every
-  /// field zero).  closure_builds counts per-cone builds; the merged
-  /// ClosureStats carries their counters (build fields reflect the
-  /// largest cone's closure — see ClosureStats::merge).
-  std::uint64_t closure_builds = 0;
-  double closure_build_seconds = 0.0;
-  ClosureStats closure;
 };
 
 struct EcoResult {

@@ -50,12 +50,7 @@ namespace {
 constexpr std::size_t kMaxSplitDepth = 64;
 
 // Target number of work items: enough headroom over the thread count
-// for the stealing scheduler to balance uneven subtrees.  Deliberately
-// NOT scaled with the lane count: a deeper frontier would let wider
-// packs form, but every packed lane replays its item's whole prefix —
-// work the scalar DFS amortizes across siblings via trail rollback —
-// so deepening the cut to fill planes costs more in replay than the
-// extra width recovers (measured on the bench circuits).
+// for the stealing scheduler to balance uneven subtrees.
 std::uint64_t item_target(std::size_t num_threads) {
   return std::max<std::uint64_t>(64, 16 * num_threads);
 }
@@ -78,43 +73,12 @@ ClassifyResult classify_paths_parallel(const Circuit& circuit,
   const CompiledCircuit& compiled =
       *internal::resolve_compiled(circuit, options, owned_compiled);
 
-  // Like the compiled view: resolved once on the calling thread (or
-  // taken pre-built from options.closure) and shared read-only by every
-  // worker's engine.
-  std::unique_ptr<const StaticClosure> owned_closure;
-  const StaticClosure* closure = nullptr;
-  try {
-    closure = internal::resolve_closure(compiled, options, owned_closure);
-  } catch (const GuardTrippedError& error) {
-    ClassifyResult result;
-    if (options.collect_lead_counts)
-      result.kept_controlling_per_lead.assign(circuit.num_leads(), 0);
-    result.completed = false;
-    result.abort_reason = error.reason();
-    internal::finish_classify_result(circuit, &result);
-    result.wall_seconds = watch.elapsed_seconds();
-    return result;
-  }
-
-  const std::uint64_t pack_lanes = std::min<std::uint64_t>(
-      std::max<std::uint64_t>(options.lanes, 1), kMaxLanes);
-  // Copy handed to phase-2 workers with the lane count clamped to the
-  // demand the built schedule can actually present (set below, once
-  // the packs exist).  Function scope: each SeedDfs keeps a reference
-  // to its options for its whole life, which extends past the phase-2
-  // block into the stats merge.
-  ClassifyOptions worker_options = options;
   const std::size_t split_depth = choose_split_depth(
       prefix_tree_widths(circuit, kMaxSplitDepth), item_target(num_threads));
 
   // Phase 1 runs the frontier-cut instantiation; phase-2 workers run
   // the plain one (same hot loop as the serial engine).  Outcomes are
   // the shared internal::SeedOutcome, so the merge mixes them freely.
-  // options.lanes flows into the phase-2 workers automatically (each
-  // SeedDfs owns its lane engine); the frontier instantiation stays
-  // scalar — it only walks the shallow prefix above the cut, and lanes
-  // change nothing observable, so bit-identity across lane counts and
-  // thread counts is preserved either way.
   using Dfs = internal::SeedDfs<internal::SharedBudget>;
   using FrontierDfs = internal::SeedDfs<internal::SharedBudget, true>;
   internal::SharedBudget::Shared shared_budget(options.work_limit,
@@ -144,8 +108,7 @@ ClassifyResult classify_paths_parallel(const Circuit& circuit,
   internal::SharedBudget root_budget(shared_budget);
   FrontierDfs root_dfs(compiled, options, root_budget,
                        options.collect_lead_counts ? &root_lead_counts
-                                                   : nullptr,
-                       closure);
+                                                   : nullptr);
   std::uint32_t current_seed = 0;
   std::uint64_t root_work = 0;
   root_dfs.set_frontier_cut(
@@ -197,68 +160,13 @@ ClassifyResult classify_paths_parallel(const Circuit& circuit,
 
   if (!items.empty() &&
       !shared_budget.cancelled.load(std::memory_order_relaxed)) {
-    // ---- Lane packing (DESIGN.md §15) ----
-    // Group consecutive items of one (pi, final value) pair while
-    // their total first-level fan-out fits the lane count, so one
-    // worker evaluates the whole group's side-input programs in a
-    // single lane batch — lane occupancy tracks the frontier width
-    // instead of one node's fan-out.  Packing only coarsens the task
-    // granularity: run_packed reproduces every per-item outcome bit
-    // for bit, so the canonical merge below is untouched.  With
-    // lanes <= 1 every pack is a singleton and scheduling is
-    // unchanged.
-    struct Pack {
-      std::uint32_t begin = 0;
-      std::uint32_t count = 0;
-    };
-    const auto item_demand = [&](const SubtreeItem& item) -> std::uint64_t {
-      const GateId tip =
-          compiled.lead(prefix_pool[item.begin + item.length - 1]).sink;
-      return compiled.fanout_count(tip);
-    };
-    std::vector<Pack> packs;
-    std::uint64_t packed_demand = 0;  // widest multi-item pack built
-    for (std::size_t i = 0; i < items.size();) {
-      const internal::ClassifySeed& head = seeds[items[i].seed];
-      std::uint64_t demand = item_demand(items[i]);
-      std::size_t j = i + 1;
-      while (j < items.size() && demand < pack_lanes) {
-        const internal::ClassifySeed& next = seeds[items[j].seed];
-        if (next.pi != head.pi || next.final_value != head.final_value) break;
-        const std::uint64_t d = item_demand(items[j]);
-        if (demand + d > pack_lanes) break;
-        demand += d;
-        ++j;
-      }
-      if (j - i > 1) packed_demand = std::max(packed_demand, demand);
-      packs.push_back(Pack{static_cast<std::uint32_t>(i),
-                           static_cast<std::uint32_t>(j - i)});
-      i = j;
-    }
-
-    // Size the worker engines to the demand the schedule can actually
-    // present: multi-item packs (run_packed, bounded by the widest
-    // pack built above) and in-subtree sibling chunks (bounded by the
-    // largest gate fan-out).  The lane engine pays its full plane
-    // width per op whether lanes are live or not, so a 512-lane
-    // request on a run whose packs never exceed 80 lanes would do 8x
-    // the word work for the same answers.  Lane width never affects
-    // per-lane semantics, so the outcome stream is bit-identical for
-    // any clamp.
-    if (worker_options.lanes > 1)
-      worker_options.lanes =
-          static_cast<std::size_t>(std::min<std::uint64_t>(
-              pack_lanes,
-              std::max<std::uint64_t>(
-                  {packed_demand, compiled.max_fanout_count(), 2})));
-
-    // Task index p == pack index p; ThreadPool::run guarantees each
+    // Task index i == item index i; ThreadPool::run guarantees each
     // runs exactly once.  WorkerState slots are indexed by the pool
     // worker id so they line up with the WorkerStats run() returns.
     std::vector<std::function<void()>> tasks;
-    tasks.reserve(packs.size());
-    for (std::size_t p = 0; p < packs.size(); ++p) {
-      tasks.push_back([&, p] {
+    tasks.reserve(items.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      tasks.push_back([&, i] {
         WorkerState& state = workers[ThreadPool::current_worker_index()];
         if (!state.dfs) {
           state.budget =
@@ -266,30 +174,14 @@ ClassifyResult classify_paths_parallel(const Circuit& circuit,
           if (options.collect_lead_counts)
             state.lead_counts.assign(circuit.num_leads(), 0);
           state.dfs = std::make_unique<Dfs>(
-              compiled, worker_options, *state.budget,
-              options.collect_lead_counts ? &state.lead_counts : nullptr,
-              closure);
+              compiled, options, *state.budget,
+              options.collect_lead_counts ? &state.lead_counts : nullptr);
         }
-        const Pack& pack = packs[p];
-        if (pack.count == 1) {
-          const SubtreeItem& item = items[pack.begin];
-          outcomes[pack.begin] = state.dfs->run_subtree(
-              seeds[item.seed], prefix_pool.data() + item.begin, item.length,
-              options.collect_paths_limit);
-          state.work += outcomes[pack.begin].work;
-        } else {
-          std::vector<Dfs::PackedItem> view(pack.count);
-          for (std::uint32_t k = 0; k < pack.count; ++k) {
-            const SubtreeItem& item = items[pack.begin + k];
-            view[k] = Dfs::PackedItem{prefix_pool.data() + item.begin,
-                                      item.length};
-          }
-          state.dfs->run_packed(seeds[items[pack.begin].seed], view.data(),
-                                pack.count, options.collect_paths_limit,
-                                outcomes.data() + pack.begin);
-          for (std::uint32_t k = 0; k < pack.count; ++k)
-            state.work += outcomes[pack.begin + k].work;
-        }
+        const SubtreeItem& item = items[i];
+        outcomes[i] = state.dfs->run_subtree(
+            seeds[item.seed], prefix_pool.data() + item.begin, item.length,
+            options.collect_paths_limit);
+        state.work += outcomes[i].work;
         state.budget->flush();
       });
     }
@@ -348,13 +240,13 @@ ClassifyResult classify_paths_parallel(const Circuit& circuit,
     for (std::size_t lead = 0; lead < state.lead_counts.size(); ++lead)
       result.kept_controlling_per_lead[lead] += state.lead_counts[lead];
   result.implication = root_dfs.implication_stats();
-  for (const WorkerState& state : workers)
-    if (state.dfs) result.implication.merge(state.dfs->implication_stats());
-  if (closure != nullptr) {
-    result.closure = closure->build_stats();
-    result.closure.merge(root_dfs.closure_summary());
-    for (const WorkerState& state : workers)
-      if (state.dfs) result.closure.merge(state.dfs->closure_summary());
+  result.learned_assignments = root_dfs.learned_assignments();
+  result.learned_dropped = root_dfs.learned_dropped();
+  for (const WorkerState& state : workers) {
+    if (!state.dfs) continue;
+    result.implication.merge(state.dfs->implication_stats());
+    result.learned_assignments += state.dfs->learned_assignments();
+    result.learned_dropped += state.dfs->learned_dropped();
   }
 
   // The phase-1 expansion runs on the calling thread; its work and

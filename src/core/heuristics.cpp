@@ -61,6 +61,16 @@ InputSort heuristic2_sort(const Circuit& circuit, Rng* tie_breaker,
   return InputSort::from_lead_costs(circuit, lead_cost, tie_breaker);
 }
 
+AbortReason heuristic2_prerun_abort(const ClassifyResult& fs_run,
+                                    const ClassifyResult& nr_run) {
+  const ClassifyResult* aborted = !fs_run.completed   ? &fs_run
+                                  : !nr_run.completed ? &nr_run
+                                                      : nullptr;
+  if (aborted == nullptr) return AbortReason::kNone;
+  return aborted->abort_reason == AbortReason::kNone ? AbortReason::kWorkBudget
+                                                     : aborted->abort_reason;
+}
+
 namespace {
 
 RdIdentification classify_with_sort(const Circuit& circuit, InputSort sort,
@@ -70,6 +80,32 @@ RdIdentification classify_with_sort(const Circuit& circuit, InputSort sort,
   options.sort = &sort;
   ClassifyResult classify = classify_paths(circuit, options);
   return RdIdentification{std::move(sort), std::move(classify)};
+}
+
+RdIdentification identify_with_heuristic2(const Circuit& circuit,
+                                          const ClassifyOptions& base,
+                                          Rng* tie_breaker, bool inverse) {
+  Stopwatch watch;
+  ClassifyResult fs_run;
+  ClassifyResult nr_run;
+  InputSort sort =
+      heuristic2_sort(circuit, tie_breaker, &fs_run, &nr_run, &base);
+  if (inverse) sort = sort.reversed();
+  const double sort_seconds = watch.elapsed_seconds();
+  const AbortReason prerun_abort = heuristic2_prerun_abort(fs_run, nr_run);
+  RdIdentification result;
+  if (prerun_abort == AbortReason::kNone) {
+    result = classify_with_sort(circuit, std::move(sort), base);
+  } else {
+    // Like any aborted run: the structural total, no RD verdicts.
+    result.sort = std::move(sort);
+    result.classify.completed = false;
+    result.classify.abort_reason = prerun_abort;
+    result.classify.total_logical = PathCounts(circuit).total_logical();
+  }
+  result.sort_seconds = sort_seconds;
+  result.prerun_work = fs_run.work + nr_run.work;
+  return result;
 }
 
 }  // namespace
@@ -89,34 +125,15 @@ RdIdentification identify_rd_heuristic1(const Circuit& circuit,
 RdIdentification identify_rd_heuristic2(const Circuit& circuit,
                                         const ClassifyOptions& base,
                                         Rng* tie_breaker) {
-  Stopwatch watch;
-  ClassifyResult fs_run;
-  ClassifyResult nr_run;
-  InputSort sort =
-      heuristic2_sort(circuit, tie_breaker, &fs_run, &nr_run, &base);
-  const double sort_seconds = watch.elapsed_seconds();
-  RdIdentification result =
-      classify_with_sort(circuit, std::move(sort), base);
-  result.sort_seconds = sort_seconds;
-  result.prerun_work = fs_run.work + nr_run.work;
-  return result;
+  return identify_with_heuristic2(circuit, base, tie_breaker,
+                                  /*inverse=*/false);
 }
 
 RdIdentification identify_rd_heuristic2_inverse(const Circuit& circuit,
                                                 const ClassifyOptions& base,
                                                 Rng* tie_breaker) {
-  Stopwatch watch;
-  ClassifyResult fs_run;
-  ClassifyResult nr_run;
-  InputSort sort =
-      heuristic2_sort(circuit, tie_breaker, &fs_run, &nr_run, &base)
-          .reversed();
-  const double sort_seconds = watch.elapsed_seconds();
-  RdIdentification result =
-      classify_with_sort(circuit, std::move(sort), base);
-  result.sort_seconds = sort_seconds;
-  result.prerun_work = fs_run.work + nr_run.work;
-  return result;
+  return identify_with_heuristic2(circuit, base, tie_breaker,
+                                  /*inverse=*/true);
 }
 
 ClassifyResult classify_fus(const Circuit& circuit,

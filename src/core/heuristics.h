@@ -40,6 +40,15 @@ InputSort heuristic2_sort(const Circuit& circuit, Rng* tie_breaker = nullptr,
                           ClassifyResult* nr_run = nullptr,
                           const ClassifyOptions* base = nullptr);
 
+/// The typed abort of Heuristic 2's pre-runs: kNone when both
+/// completed, else the aborted run's reason (FS first; kWorkBudget when
+/// the run names none).  A sort ranked on an aborted pre-run's
+/// truncated per-lead counts is not Heuristic 2's sort — which leads
+/// the truncation reached is scheduling-dependent — so every caller
+/// reports this abort instead of classifying under it.
+AbortReason heuristic2_prerun_abort(const ClassifyResult& fs_run,
+                                    const ClassifyResult& nr_run);
+
 /// End-to-end result of one RD identification run.
 struct RdIdentification {
   InputSort sort;
@@ -61,7 +70,9 @@ RdIdentification identify_rd_heuristic1(const Circuit& circuit,
                                         Rng* tie_breaker = nullptr);
 
 /// Heuristic 2 end-to-end (three classifier runs total, as the paper
-/// notes when discussing Table II's CPU times).
+/// notes when discussing Table II's CPU times).  When a pre-run aborts
+/// (heuristic2_prerun_abort), the final run is skipped and
+/// classify.completed is false with that typed reason.
 RdIdentification identify_rd_heuristic2(const Circuit& circuit,
                                         const ClassifyOptions& base = {},
                                         Rng* tie_breaker = nullptr);

@@ -26,20 +26,6 @@ JsonValue implication_json(const ImplicationStats& stats) {
   return out;
 }
 
-JsonValue closure_json(const ClosureStats& stats) {
-  JsonValue out = JsonValue::object();
-  out.set("literals", JsonValue::number(stats.literals));
-  out.set("dense_rows", JsonValue::number(stats.dense_rows));
-  out.set("csr_rows", JsonValue::number(stats.csr_rows));
-  out.set("bytes", JsonValue::number(stats.bytes));
-  out.set("build_seconds", JsonValue::number(stats.build_seconds));
-  out.set("hits", JsonValue::number(stats.hits));
-  out.set("misses", JsonValue::number(stats.misses));
-  out.set("learned_assignments", JsonValue::number(stats.learned_assignments));
-  out.set("learned_dropped", JsonValue::number(stats.learned_dropped));
-  return out;
-}
-
 }  // namespace
 
 JsonValue run_report_envelope(const std::string& kind) {
@@ -93,10 +79,14 @@ JsonValue classify_result_json(const ClassifyResult& result) {
   out.set("work", JsonValue::number(result.work));
   out.set("wall_seconds", JsonValue::number(result.wall_seconds));
   out.set("implication", implication_json(result.implication));
-  // Optional, additive (no schema bump): present only when the run used
-  // a static implication tier.
-  if (result.closure != ClosureStats{})
-    out.set("closure", closure_json(result.closure));
+  // Optional, additive (no schema bump): present only when the learned
+  // implication tier forced or dropped anything.
+  if (result.learned_assignments != 0 || result.learned_dropped != 0) {
+    JsonValue learned = JsonValue::object();
+    learned.set("assignments", JsonValue::number(result.learned_assignments));
+    learned.set("dropped", JsonValue::number(result.learned_dropped));
+    out.set("learned", std::move(learned));
+  }
   if (!result.worker_stats.empty()) {
     JsonValue workers = JsonValue::array();
     for (const ClassifyWorkerStats& stats : result.worker_stats) {
@@ -187,17 +177,6 @@ JsonValue eco_json(const EcoStats& stats,
   recovery.set("duplicate_key", JsonValue::number(r.duplicate_key));
   recovery.set("quarantined_files", JsonValue::number(r.quarantined_files));
   out.set("recovery", std::move(recovery));
-  // Optional, additive (no schema bump): per-cone closure observability
-  // when the incremental run used a static implication tier.
-  if (stats.closure_builds > 0) {
-    JsonValue closure = JsonValue::object();
-    closure.set("builds", JsonValue::number(stats.closure_builds));
-    closure.set("build_seconds",
-                JsonValue::number(stats.closure_build_seconds));
-    closure.set("hits", JsonValue::number(stats.closure.hits));
-    closure.set("misses", JsonValue::number(stats.closure.misses));
-    out.set("closure", std::move(closure));
-  }
   return out;
 }
 
@@ -265,15 +244,6 @@ void record_classify_metrics(const ClassifyResult& result,
                        result.implication.propagations);
   registry.add_counter("implication.conflicts", result.implication.conflicts);
   registry.add_counter("implication.backward", result.implication.backward);
-  if (result.closure != ClosureStats{}) {
-    registry.add_counter("closure.hits", result.closure.hits);
-    registry.add_counter("closure.misses", result.closure.misses);
-    registry.add_counter("closure.learned_assignments",
-                         result.closure.learned_assignments);
-    registry.add_counter("closure.learned_dropped",
-                         result.closure.learned_dropped);
-    registry.add_timer("closure.build", result.closure.build_seconds);
-  }
   registry.add_timer("classify.wall", result.wall_seconds);
   for (const ClassifyWorkerStats& stats : result.worker_stats) {
     registry.add_counter("classify.worker_seeds", stats.seeds);
@@ -331,6 +301,21 @@ void validate_abort_reason(const JsonValue& object, const char* context,
                        "\" in " + context);
 }
 
+/// A required numeric key of a report sub-object (the "eco" and
+/// "eco.recovery" counters, "classify.learned", "serve.cone_cache").
+void require_counter(const JsonValue& object, const char* owner,
+                     const char* key, std::vector<std::string>& problems) {
+  const JsonValue* value = object.find(key);
+  if (value == nullptr) {
+    problems.push_back(std::string("missing key \"") + key + "\" in " +
+                       owner);
+    return;
+  }
+  if (!value->is_number())
+    problems.push_back(std::string("\"") + owner + "." + key +
+                       "\" is not a number");
+}
+
 void validate_classify_payload(const JsonValue& report,
                                std::vector<std::string>& problems) {
   const JsonValue* classify = report.find("classify");
@@ -353,24 +338,14 @@ void validate_classify_payload(const JsonValue& report,
     if (rd_paths != nullptr && rd_paths->is_null())
       problems.push_back("completed run has null \"rd_paths\"");
   }
-  // Optional "closure" object (static implication tier observability);
-  // every field must be a number when the block is present.
-  const JsonValue* closure = classify->find("closure");
-  if (closure != nullptr) {
-    if (!closure->is_object()) {
-      problems.push_back("\"classify.closure\" is not an object");
+  // Optional "learned" object (learned implication tier counters).
+  const JsonValue* learned = classify->find("learned");
+  if (learned != nullptr) {
+    if (!learned->is_object()) {
+      problems.push_back("\"classify.learned\" is not an object");
     } else {
-      for (const char* key :
-           {"literals", "dense_rows", "csr_rows", "bytes", "build_seconds",
-            "hits", "misses", "learned_assignments", "learned_dropped"}) {
-        const JsonValue* value = closure->find(key);
-        if (value == nullptr)
-          problems.push_back(std::string("missing key \"") + key +
-                             "\" in classify.closure");
-        else if (!value->is_number())
-          problems.push_back(std::string("\"classify.closure.") + key +
-                             "\" is not a number");
-      }
+      for (const char* key : {"assignments", "dropped"})
+        require_counter(*learned, "classify.learned", key, problems);
     }
   }
 }
@@ -397,21 +372,6 @@ void validate_resilient_payload(const JsonValue& report,
       !(reason->is_string() && is_abort_reason_name(reason->as_string())))
     problems.push_back(
         "\"resilient.abort_reason\" is neither null nor a known reason");
-}
-
-/// Counter keys of the "eco.recovery" ladder and the top-level "eco"
-/// object — every one must be a number when present.
-void require_counter(const JsonValue& object, const char* owner,
-                     const char* key, std::vector<std::string>& problems) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr) {
-    problems.push_back(std::string("missing key \"") + key + "\" in " +
-                       owner);
-    return;
-  }
-  if (!value->is_number())
-    problems.push_back(std::string("\"") + owner + "." + key +
-                       "\" is not a number");
 }
 
 /// The optional "eco" object of incremental classify_run reports:
@@ -441,15 +401,6 @@ void validate_eco_payload(const JsonValue& report,
         "crc_mismatch", "malformed_record", "duplicate_key",
         "quarantined_files"})
     require_counter(*recovery, "eco.recovery", key, problems);
-  const JsonValue* closure = eco->find("closure");
-  if (closure != nullptr) {  // optional
-    if (!closure->is_object()) {
-      problems.push_back("\"eco.closure\" is not an object");
-    } else {
-      for (const char* key : {"builds", "build_seconds", "hits", "misses"})
-        require_counter(*closure, "eco.closure", key, problems);
-    }
-  }
 }
 
 /// The optional "serve" object a daemon attaches to job reports:
@@ -486,19 +437,6 @@ void validate_serve_payload(const JsonValue& report,
     } else {
       for (const char* key : {"hits", "misses", "recovered"})
         require_counter(*cone_cache, "serve.cone_cache", key, problems);
-    }
-  }
-  const JsonValue* closure = serve->find("closure");
-  if (closure != nullptr) {  // optional
-    if (!closure->is_object()) {
-      problems.push_back("\"serve.closure\" is not an object");
-    } else {
-      const JsonValue* cached = closure->find("cached");
-      if (cached == nullptr)
-        problems.push_back("missing key \"cached\" in serve.closure");
-      else if (!cached->is_bool())
-        problems.push_back("\"serve.closure.cached\" is not a bool");
-      require_counter(*closure, "serve.closure", "build_seconds", problems);
     }
   }
 }

@@ -55,13 +55,10 @@ namespace rd {
 /// object inside "serve" payloads, and optional "cache_evictions" /
 /// "cache_failures" counters there (the CircuitCache verdict beyond
 /// plain hit/miss).
-/// Further v2 additions (no bump): an optional "closure" object inside
-/// classify payloads (static implication tier observability — build
-/// shape/cost, hit/miss counters, learned-probe counters), an optional
-/// "closure" object inside "eco" blocks (per-cone builds +
-/// build_seconds + hit/miss), and an optional "closure" object inside
-/// "serve" payloads ({"cached", "build_seconds"} — whether the daemon
-/// served the request from an entry's shared closure).
+/// Further v2 addition (no bump): an optional "learned" object inside
+/// classify payloads ({"assignments", "dropped"} — the learned
+/// implication tier's probe counters), written only when that tier
+/// forced or dropped anything.
 inline constexpr std::uint64_t kRunReportSchemaVersion = 2;
 
 /// The shared envelope: {"schema_version": N, "kind": kind}.

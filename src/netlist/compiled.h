@@ -235,12 +235,6 @@ class CompiledCircuit {
     return fanout_offsets_[id + 1] - fanout_offsets_[id];
   }
 
-  /// Largest fanout_count() over all gates — the widest sibling chunk
-  /// a lane engine can see on this circuit.  Run drivers clamp their
-  /// lane-engine width to the demand actually reachable so a wide
-  /// --lanes request never pays dead plane words (DESIGN.md §15).
-  std::uint32_t max_fanout_count() const { return max_fanout_count_; }
-
   // ---- static local-implication tables ----
 
   /// Gates driving every side input of `lead`'s sink, in pin order.
@@ -272,7 +266,6 @@ class CompiledCircuit {
   const Circuit* circuit_;
   bool has_low_order_tables_ = false;
   std::size_t num_gates_ = 0;
-  std::uint32_t max_fanout_count_ = 0;
   std::size_t num_leads_ = 0;
 
   // Every 32-bit table in one exactly-sized backing store, everything

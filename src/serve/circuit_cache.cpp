@@ -58,19 +58,6 @@ struct CircuitCache::Impl {
   }
 };
 
-const StaticClosure* CircuitCache::Entry::shared_closure(
-    bool* built_now) const {
-  bool ran = false;
-  std::call_once(closure_once, [this, &ran] {
-    Stopwatch watch;
-    closure = std::make_unique<const StaticClosure>(*compiled);
-    closure_seconds = watch.elapsed_seconds();
-    ran = true;
-  });
-  if (built_now != nullptr) *built_now = ran;
-  return closure.get();
-}
-
 CircuitCache::CircuitCache(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity),
       impl_(std::make_unique<Impl>()) {}
@@ -120,16 +107,9 @@ CircuitCache::EntryPtr CircuitCache::build_entry(
     // A sort cut from aborted pre-runs is not Heuristic 2's sort; it
     // must not be cached and served to every later client.  Convert
     // the partial build into this request's typed abort instead.
-    if (!fs_run.completed || !nr_run.completed) {
-      const AbortReason reason = !fs_run.completed
-                                     ? (fs_run.abort_reason == AbortReason::kNone
-                                            ? AbortReason::kWorkBudget
-                                            : fs_run.abort_reason)
-                                     : (nr_run.abort_reason == AbortReason::kNone
-                                            ? AbortReason::kWorkBudget
-                                            : nr_run.abort_reason);
-      throw GuardTrippedError(reason);
-    }
+    const AbortReason prerun_abort = heuristic2_prerun_abort(fs_run, nr_run);
+    if (prerun_abort != AbortReason::kNone)
+      throw GuardTrippedError(prerun_abort);
     entry->prerun_work = fs_run.work + nr_run.work;
     entry->sort = sort_spec == "2" ? std::move(sort) : sort.reversed();
   } else if (sort_spec == "fus") {

@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -36,7 +35,6 @@
 #include "core/input_sort.h"
 #include "netlist/circuit.h"
 #include "netlist/compiled.h"
-#include "sim/closure.h"
 #include "util/exec_guard.h"
 
 namespace rd::serve {
@@ -74,20 +72,6 @@ class CircuitCache {
     /// the FS/NR pre-run work of Heuristic 2 (deterministic).
     double sort_seconds = 0.0;
     std::uint64_t prerun_work = 0;
-
-    /// Lazily built static implication closure over `compiled`
-    /// (DESIGN.md §14): the first request that opts into
-    /// --implications pays the build, every later request of the same
-    /// entry shares it read-only.  Built without a guard — the closure
-    /// outlives any single request's guard, so per-request budgets
-    /// must not account (or trip on) cache-resident bytes.  mutable:
-    /// entries are published as shared_ptr<const Entry>.
-    /// Sets *built_now (when non-null) to whether THIS call ran the
-    /// build (false: served an already-resident closure).
-    const StaticClosure* shared_closure(bool* built_now = nullptr) const;
-    mutable std::once_flag closure_once;
-    mutable std::unique_ptr<const StaticClosure> closure;
-    mutable double closure_seconds = 0.0;  // wall time of the one build
   };
   using EntryPtr = std::shared_ptr<const Entry>;
 

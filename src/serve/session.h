@@ -22,7 +22,9 @@
 //   validate:  "report": <object to check against the run-report schema>
 //   classify:  "circuit": {"builtin": "c432"} | {"name": N, "bench": T},
 //              "heuristic": "1"|"2"|"inverse"|"fus" (default "2"),
-//              "work_limit", "threads", "lanes" (uints, optional),
+//              "work_limit", "threads" (uints, optional),
+//              "implications": "off"|"learned" (default "off"; a
+//                             "lanes" field is refused as bad_request),
 //              "incremental": bool (optional — cone-cached ECO mode;
 //                             the response carries an "eco" block and
 //                             per-request serve.cone_cache counters),

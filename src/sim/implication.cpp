@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "sim/closure.h"
-
 namespace rd {
 
 ImplicationEngine::ImplicationEngine(const CompiledCircuit& compiled,
@@ -26,88 +24,12 @@ ImplicationEngine::ImplicationEngine(const Circuit& circuit,
       trail_(scratch_.data()),
       queue_(scratch_.data() + circuit.num_gates()) {}
 
-void ImplicationEngine::attach_closure(const StaticClosure* closure) {
-  // A closure recorded over a different circuit or implication mode
-  // would install wrong rows; ignoring it keeps attachment safe to
-  // call unconditionally from the drivers.
-  if (closure != nullptr &&
-      (&closure->compiled() != compiled_ ||
-       closure->backward_implications() != backward_implications_)) {
-    closure_ = nullptr;
-    return;
-  }
-  closure_ = closure;
-}
-
-// Out of line on purpose: assign()'s scalar body stays the compact hot
-// path, and the closure probe only runs when a closure is attached.
-bool ImplicationEngine::try_closure(GateId id, Value3 value, bool* ok) {
-  const StaticClosure::Row& row = closure_->row(id, value);
-  // Deterministic skip: scanning a long trail against a narrow row
-  // costs more than the drain it would save.  Purely a perf heuristic —
-  // a skip is a miss, and the scalar drain is always exact.
-  if (trail_size_ > 32 + 4 * static_cast<std::size_t>(row.trail_count)) {
-    ++closure_misses_;
-    return false;
-  }
-  for (std::size_t i = 0; i < trail_size_; ++i)
-    if (closure_->footprint_contains(row,
-                                     static_cast<GateId>(trail_[i]))) {
-      ++closure_misses_;
-      return false;
-    }
-
-  // Disjoint footprint: the drain from the current state is event-
-  // identical to the recorded empty-state drain (every gate it examines
-  // or reads is unassigned, and every counter it consults carries no
-  // contribution from the current assignments — an assigned fanin of an
-  // examined gate would be in the footprint).  Install the recorded
-  // trail exactly as set_value would have: value stamp, trail entry,
-  // sink tallies with branchless stale-epoch revival — minus the queue
-  // pushes, pops and examinations, which is the saved work.
-  ++closure_hits_;
-  const std::uint64_t* entry = closure_->trail_entries(row);
-  const std::uint64_t* const end = entry + row.trail_count;
-  GateState* const states = states_.data();
-  const std::uint32_t epoch = epoch_;
-  for (; entry != end; ++entry) {
-    const std::uint64_t packed = *entry;
-    const GateId gate = static_cast<GateId>(packed);
-    const Value3 assigned = unpack_value(packed);
-    states[gate].value_half = pack_value(epoch, assigned);
-    trail_[trail_size_++] = packed;
-    const GateWord* sink = compiled_->fanout_sink_begin(gate);
-    const GateWord* const send = sink + compiled_->fanout_count(gate);
-    for (; sink != send; ++sink) {
-      const GateWord word = *sink;
-      GateState& counter = states[gate_word::id(word)];
-      const std::uint64_t half = counter.counter_half;
-      const std::uint64_t live_tallies =
-          static_cast<std::uint32_t>(half) == epoch
-              ? half & 0xFFFFFFFF00000000ull
-              : 0ull;
-      counter.counter_half = (live_tallies | epoch) +
-                             tally_delta(assigned, gate_word::ctrl(word));
-    }
-  }
-  // The recorded delta replays the drain's exact charges (assignments,
-  // propagations, the conflict if the row is unsatisfiable), keeping
-  // the cumulative event stream bit-identical to the scalar engine.
-  stats_.merge(row.delta);
-  *ok = row.ok;
-  return true;
-}
-
 bool ImplicationEngine::assign(GateId id, Value3 value) {
   if (!is_known(value)) return true;
   const Value3 current = this->value(id);
   if (is_known(current)) {
     if (current != value) ++stats_.conflicts;
     return current == value;
-  }
-  if (closure_ != nullptr) {
-    bool ok;
-    if (try_closure(id, value, &ok)) return ok;
   }
   queue_head_ = 0;
   queue_tail_ = 0;

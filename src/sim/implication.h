@@ -36,8 +36,9 @@
 //     *identities*, which fire comparatively rarely.
 //
 // The event stream (ImplicationStats) and every derived value are
-// bit-identical to the frozen pre-compilation engine
-// (sim/implication_reference.h); tests/compiled_test.cpp enforces it.
+// bit-identical to the frozen pre-compilation engine kept as a test
+// oracle (tests/support/implication_reference.h);
+// tests/compiled_test.cpp enforces it.
 #pragma once
 
 #include <cstddef>
@@ -50,8 +51,6 @@
 #include "sim/value.h"
 
 namespace rd {
-
-class StaticClosure;
 
 /// Cumulative event counters of one ImplicationEngine.  Plain uint64
 /// increments on the hot path — snapshotted into the metrics registry
@@ -179,41 +178,7 @@ class ImplicationEngine {
 
   const CompiledCircuit& compiled() const { return *compiled_; }
 
-  /// Attaches a prebuilt static implication closure (sim/closure.h):
-  /// assign() then serves footprint-disjoint literals by installing the
-  /// row recorded at compile time — same trail, same stats, same
-  /// verdict as the event drain, minus the events.  The closure must be
-  /// built over this engine's CompiledCircuit with the same
-  /// backward_implications mode; a mismatched closure is ignored (the
-  /// engine simply stays scalar).  Pass nullptr to detach.  The caller
-  /// keeps ownership; the closure must outlive the attachment.
-  void attach_closure(const StaticClosure* closure);
-  const StaticClosure* closure() const { return closure_; }
-
-  /// Assigns served by a closure-row install / by the event drain while
-  /// a closure was attached.  Diagnostics only — not part of the
-  /// bit-identical ImplicationStats contract.
-  std::uint64_t closure_hits() const { return closure_hits_; }
-  std::uint64_t closure_misses() const { return closure_misses_; }
-
-  /// Read-only view of the trail (the closure builder and tests):
-  /// entries [0, num_assigned()), gate id in the low 32 bits, the
-  /// assigned Value3 in bits 32..39.
-  const std::uint64_t* trail_data() const { return trail_; }
-  static GateId trail_entry_gate(std::uint64_t entry) {
-    return static_cast<GateId>(entry);
-  }
-  static Value3 trail_entry_value(std::uint64_t entry) {
-    return unpack_value(entry);
-  }
-
  private:
-  /// Closure fast path: when the attached closure's row for (id, value)
-  /// has a footprint disjoint from every current assignment, installs
-  /// the recorded drain (trail entries, sink tallies, stats delta) and
-  /// sets *ok to the recorded verdict.  Returns false on a miss — the
-  /// caller falls through to the scalar drain, which is always exact.
-  bool try_closure(GateId id, Value3 value, bool* ok);
   /// Records a value (must currently be unknown) and schedules
   /// re-examination of the gate and its sinks.
   void set_value(GateId id, Value3 value);
@@ -277,9 +242,6 @@ class ImplicationEngine {
   std::unique_ptr<CompiledCircuit> owned_;  // only for the Circuit ctor
   const CompiledCircuit* compiled_;
   bool backward_implications_;
-  const StaticClosure* closure_ = nullptr;
-  std::uint64_t closure_hits_ = 0;
-  std::uint64_t closure_misses_ = 0;
 
   std::vector<GateState> states_;
   std::uint32_t epoch_ = 1;

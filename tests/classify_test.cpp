@@ -8,6 +8,7 @@
 // hold both exactly and at the approximation level.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/classify.h"
@@ -223,6 +224,52 @@ TEST(Classify, C17AllPathsSurviveFs) {
       classifier_kept_set(circuit, Criterion::kFunctionalSensitizable).size(),
       22u);
   EXPECT_EQ(exact_kept_paths(circuit, Criterion::kNonRobust).size(), 22u);
+}
+
+// ---- the learned tier actually drops a survivor ---------------------------
+
+// unsat_side_constraint_circuit's rising-m path asserts four OR side
+// inputs whose constraints encode (c+d)(c'+d)(c+d')(c'+d') — jointly
+// unsatisfiable, but no single literal is forced, so the ternary drain
+// keeps the path.  Probing the unconstrained side input c refutes both
+// polarities and drops it; the exhaustive FS sweep agrees.
+TEST(LearnedTier, DropsProvablyUnsatisfiableSurvivor) {
+  const Circuit circuit = unsat_side_constraint_circuit();
+  ClassifyOptions base;
+  base.criterion = Criterion::kFunctionalSensitizable;
+  base.collect_paths_limit = std::uint64_t{1} << 16;
+
+  const ClassifyResult off = classify_paths(circuit, base);
+  ClassifyOptions learned_options = base;
+  learned_options.implications = ImplicationTier::kLearned;
+  const ClassifyResult learned = classify_paths(circuit, learned_options);
+
+  EXPECT_GE(learned.learned_dropped, 1u);
+  EXPECT_EQ(learned.kept_paths + learned.learned_dropped, off.kept_paths);
+
+  // Set containment against the exhaustive reference: everything the
+  // probe dropped is also outside the exact FS set, and everything
+  // exact keeps survives probing.
+  const LogicalPathSet exact =
+      exact_kept_paths(circuit, Criterion::kFunctionalSensitizable);
+  const LogicalPathSet off_set(off.kept_keys.begin(), off.kept_keys.end());
+  const LogicalPathSet learned_set(learned.kept_keys.begin(),
+                                   learned.kept_keys.end());
+  EXPECT_LT(exact.size(), off_set.size());  // FS^sup genuinely over-keeps
+  EXPECT_TRUE(std::includes(learned_set.begin(), learned_set.end(),
+                            exact.begin(), exact.end()));
+  EXPECT_TRUE(std::includes(off_set.begin(), off_set.end(),
+                            learned_set.begin(), learned_set.end()));
+
+  // Deterministic at every thread count.
+  for (const std::size_t threads : {2u, 4u}) {
+    ClassifyOptions parallel_options = learned_options;
+    parallel_options.num_threads = threads;
+    const ClassifyResult parallel = classify_paths(circuit, parallel_options);
+    EXPECT_EQ(parallel.kept_paths, learned.kept_paths) << threads;
+    EXPECT_EQ(parallel.kept_keys, learned.kept_keys) << threads;
+    EXPECT_EQ(parallel.learned_dropped, learned.learned_dropped) << threads;
+  }
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 //     analysis Circuit exactly;
 //   * ImplicationEngine — epoch-stamped reset semantics, and
 //     bit-identical values + event counters against the frozen
-//     pre-compilation engine (sim/implication_reference.h) under
+//     pre-compilation engine (support/implication_reference.h) under
 //     randomized assign/undo driving;
 //   * classification — the compiled serial and parallel engines must
 //     match classify_paths_reference on every deterministic field,
@@ -27,7 +27,8 @@
 #include "netlist/compiled.h"
 #include "netlist/gate_types.h"
 #include "sim/implication.h"
-#include "sim/implication_reference.h"
+#include "support/classify_reference.h"
+#include "support/implication_reference.h"
 #include "synth/synth.h"
 #include "util/exec_guard.h"
 #include "util/rng.h"

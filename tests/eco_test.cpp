@@ -18,7 +18,6 @@
 #include "gen/iscas_like.h"
 #include "netlist/cone_signature.h"
 #include "netlist/transform.h"
-#include "sim/closure.h"
 
 namespace rd {
 namespace {
@@ -285,52 +284,41 @@ TEST(Eco, RejectsUnsupportedOptionCombinations) {
     options.base.implications = ImplicationTier::kLearned;
     EXPECT_THROW(classify_eco(circuit, store, options), std::invalid_argument);
   }
-  {
-    // The driver builds per-cone closures; a caller-supplied whole-
-    // circuit closure cannot apply to cone-local gate ids.
-    EcoOptions options;
-    const CompiledCircuit compiled(circuit);
-    const StaticClosure closure(compiled);
-    options.base.implications = ImplicationTier::kClosure;
-    options.base.closure = &closure;
-    EXPECT_THROW(classify_eco(circuit, store, options), std::invalid_argument);
-  }
 }
 
-// The closure tier composes with eco mode: warm-after-edit stays
-// bit-identical to cold (per-cone closures are rebuilt, never cached
-// across circuit versions), and EcoStats carries the build counters.
+// The per-cone closure build is gone (DESIGN.md §11); what a cone still
+// builds when it is reclassified is its input sort and compiled view.
+// A warm run equals the cold one and pays those builds only for the
+// cones it recomputes: a cache hit costs no pre-run work and stores
+// nothing.
 TEST(Eco, ClosureTierWarmEqualsColdAndCountsBuilds) {
   for (const Circuit& circuit : fixtures()) {
     const Circuit edited = edited_copy(circuit);
     EcoOptions options;
     options.base.collect_paths_limit = 32;
-    options.base.implications = ImplicationTier::kClosure;
 
     ConeCacheStore cold_store;
     const EcoResult cold = classify_eco(edited, cold_store, options);
     ASSERT_TRUE(cold.classify.completed) << circuit.name();
-    EXPECT_EQ(cold.stats.closure_builds, cold.stats.cones) << circuit.name();
-    EXPECT_GT(cold.classify.closure.hits + cold.classify.closure.misses, 0u)
-        << circuit.name();
+    EXPECT_EQ(cold.stats.misses, cold.stats.cones) << circuit.name();
+    EXPECT_EQ(cold.stats.stored, cold.stats.misses) << circuit.name();
 
     ConeCacheStore warm_store;
     classify_eco(circuit, warm_store, options);  // seed with pre-edit run
     const EcoResult warm = classify_eco(edited, warm_store, options);
     expect_same_deterministic_fields(warm.classify, cold.classify,
-                                     circuit.name() + " closure-eco");
-    // Cached cones skip reclassification, so only the recomputed cones
-    // pay a closure build.
-    EXPECT_EQ(warm.stats.closure_builds, warm.stats.misses) << circuit.name();
+                                     circuit.name() + " warm");
+    EXPECT_EQ(warm.stats.stored, warm.stats.misses) << circuit.name();
+    EXPECT_LE(warm.stats.prerun_work, cold.stats.prerun_work)
+        << circuit.name();
 
-    // The closure tier must not change any verdict the off tier
-    // produces through the same eco driver.
-    EcoOptions off = options;
-    off.base.implications = ImplicationTier::kOff;
-    ConeCacheStore off_store;
-    const EcoResult plain = classify_eco(edited, off_store, off);
-    expect_same_deterministic_fields(plain.classify, cold.classify,
-                                     circuit.name() + " closure-vs-off");
+    const EcoResult again = classify_eco(edited, warm_store, options);
+    expect_same_deterministic_fields(again.classify, cold.classify,
+                                     circuit.name() + " again");
+    EXPECT_EQ(again.stats.hits, again.stats.cones) << circuit.name();
+    EXPECT_EQ(again.stats.misses, 0u) << circuit.name();
+    EXPECT_EQ(again.stats.stored, 0u) << circuit.name();
+    EXPECT_EQ(again.stats.prerun_work, 0u) << circuit.name();
   }
 }
 

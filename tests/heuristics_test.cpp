@@ -172,5 +172,43 @@ TEST(Heuristics, ReversedSortInvertsEveryGateOrder) {
   }
 }
 
+// A work limit that trips Heuristic 2's FS/NR pre-runs but not the
+// final run: the truncated per-lead counts must never rank a sort.  The
+// run reports the pre-run's typed abort at every thread count instead
+// of a scheduling-dependent must-test count.
+TEST(Heuristics, Heuristic2PrerunAbortSkipsTheFinalRun) {
+  const Circuit circuit = make_benchmark("c880");
+  for (const std::size_t threads : {1u, 4u}) {
+    ClassifyOptions base;
+    base.work_limit = 23000;
+    base.num_threads = threads;
+    Rng rng(1);
+    const RdIdentification heu2 = identify_rd_heuristic2(circuit, base, &rng);
+    EXPECT_FALSE(heu2.classify.completed) << threads;
+    EXPECT_EQ(heu2.classify.abort_reason, AbortReason::kWorkBudget) << threads;
+    EXPECT_EQ(heu2.classify.work, 0u) << threads;  // final run skipped
+    EXPECT_GT(heu2.prerun_work, 0u) << threads;
+    Rng inverse_rng(1);
+    const RdIdentification inverse =
+        identify_rd_heuristic2_inverse(circuit, base, &inverse_rng);
+    EXPECT_FALSE(inverse.classify.completed) << threads;
+    EXPECT_EQ(inverse.classify.abort_reason, AbortReason::kWorkBudget)
+        << threads;
+  }
+}
+
+TEST(Heuristics, PrerunAbortNamesTheFirstAbortedRun) {
+  ClassifyResult done;
+  ClassifyResult untyped;
+  untyped.completed = false;
+  ClassifyResult deadline;
+  deadline.completed = false;
+  deadline.abort_reason = AbortReason::kDeadline;
+  EXPECT_EQ(heuristic2_prerun_abort(done, done), AbortReason::kNone);
+  EXPECT_EQ(heuristic2_prerun_abort(untyped, done), AbortReason::kWorkBudget);
+  EXPECT_EQ(heuristic2_prerun_abort(done, deadline), AbortReason::kDeadline);
+  EXPECT_EQ(heuristic2_prerun_abort(deadline, untyped), AbortReason::kDeadline);
+}
+
 }  // namespace
 }  // namespace rd

@@ -10,10 +10,12 @@
 #include "core/heuristics.h"
 #include "gen/carry_mesh.h"
 #include "gen/iscas_like.h"
+#include "netlist/compiled.h"
 #include "paths/counting.h"
 #include "sim/implication.h"
 #include "sim/logic_sim.h"
 #include "sim/timed_sim.h"
+#include "support/classify_reference.h"
 #include "util/biguint.h"
 #include "util/exec_guard.h"
 #include "util/rng.h"
@@ -292,7 +294,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(5u, 7u, 9u),
                        ::testing::Values(1u, 2u, 4u)));
 
-// ---- bit-parallel lane invariance -----------------------------------------
+// ---- engine agreement under caps, limits and guard trips -------------------
 
 bool all_deterministic_fields_equal(const ClassifyResult& a,
                                     const ClassifyResult& b) {
@@ -303,9 +305,34 @@ bool all_deterministic_fields_equal(const ClassifyResult& a,
          a.implication == b.implication;
 }
 
-// (circuit selector, threads, lanes): selectors 0..2 are random
-// iscas-like circuits, 3..4 are carry meshes — the deep-tree regime
-// where the lane chunks actually fill up.
+// A work limit `k` units into the sweep below a run of `total` work:
+// total - 1 for k = 1, further back for larger k, never negative and
+// always short of completion.
+std::uint64_t short_limit(std::uint64_t total, std::size_t k) {
+  return total - 1 - (k - 1) % total;
+}
+
+// The nth guard check to trip on, folded into the `checks` a full run
+// makes, so the trip always lands inside the run.
+std::uint64_t trip_check(std::uint64_t checks, std::size_t k) {
+  return 1 + (k - 1) % checks;
+}
+
+std::uint64_t guard_checks_of_full_run(const Circuit& circuit,
+                                       ClassifyOptions options) {
+  ExecGuard guard;
+  options.guard = &guard;
+  EXPECT_TRUE(classify_paths_serial(circuit, options).completed);
+  return guard.checks();
+}
+
+// (circuit selector, threads, k): selectors 0..2 are random iscas-like
+// circuits, 3..4 are carry meshes — the deep-tree regime where the
+// parallel engine splits below the seeds.  The suite and instantiation
+// names date from the removed lane engine (DESIGN.md §11), whose width
+// was the third parameter; the sweep now runs the reference, serial
+// and parallel engines at a path-collection cap, a work limit and a
+// guard trip point derived from k.
 class BitparParallelInvariance
     : public ::testing::TestWithParam<
           std::tuple<int, std::size_t, std::size_t>> {
@@ -320,7 +347,7 @@ class BitparParallelInvariance
 };
 
 TEST_P(BitparParallelInvariance, AllEnginesAgreeBitForBit) {
-  const auto [selector, threads, lanes] = GetParam();
+  const auto [selector, threads, cap] = GetParam();
   const Circuit circuit = circuit_for(selector);
   const InputSort sort = heuristic1_sort(circuit);
 
@@ -331,92 +358,92 @@ TEST_P(BitparParallelInvariance, AllEnginesAgreeBitForBit) {
     options.criterion = criterion;
     options.sort = criterion == Criterion::kInputSort ? &sort : nullptr;
     options.collect_lead_counts = true;
-    options.collect_paths_limit = 1u << 16;
+    // The collection cap cuts the key list at the same survivor in
+    // every engine: the parallel merge replays serial discovery order.
+    options.collect_paths_limit = cap;
 
-    // Reference and compiled-scalar fix the contract; the laned
-    // serial and parallel engines must reproduce it bit for bit.
     const ClassifyResult reference =
         classify_paths_reference(circuit, options);
-    const ClassifyResult scalar = classify_paths_serial(circuit, options);
-    ASSERT_TRUE(all_deterministic_fields_equal(reference, scalar));
-    options.lanes = lanes;
-    const ClassifyResult laned = classify_paths_serial(circuit, options);
-    ASSERT_TRUE(all_deterministic_fields_equal(reference, laned))
-        << "criterion " << static_cast<int>(criterion) << " lanes "
-        << lanes;
+    ASSERT_LE(reference.kept_keys.size(), cap);
+    const ClassifyResult serial = classify_paths_serial(circuit, options);
+    ASSERT_TRUE(all_deterministic_fields_equal(reference, serial))
+        << "criterion " << static_cast<int>(criterion) << " cap " << cap;
     options.num_threads = threads;
     const ClassifyResult parallel =
         classify_paths_parallel(circuit, options);
     ASSERT_TRUE(all_deterministic_fields_equal(reference, parallel))
-        << "criterion " << static_cast<int>(criterion) << " lanes "
-        << lanes << " threads " << threads;
+        << "criterion " << static_cast<int>(criterion) << " cap " << cap
+        << " threads " << threads;
   }
 }
 
 TEST_P(BitparParallelInvariance, WorkLimitBoundaryIsExact) {
-  const auto [selector, threads, lanes] = GetParam();
+  const auto [selector, threads, k] = GetParam();
   const Circuit circuit = circuit_for(selector);
   ClassifyOptions options;
+  options.collect_paths_limit = 1u << 16;
   const ClassifyResult full = classify_paths_serial(circuit, options);
   ASSERT_TRUE(full.completed);
 
-  // One unit short of completion must abort with the scalar engine's
-  // exact verdict and partial counts — the lane chunks charge the
-  // budget child by child, so the abort lands mid-chunk at every lane
-  // width; exactly the full budget completes.
-  options.work_limit = full.work - 1;
-  const ClassifyResult short_scalar =
-      classify_paths_serial(circuit, options);
-  options.lanes = lanes;
-  const ClassifyResult short_laned =
-      classify_paths_serial(circuit, options);
-  ASSERT_FALSE(short_laned.completed);
-  ASSERT_EQ(short_laned.abort_reason, AbortReason::kWorkBudget);
-  ASSERT_TRUE(all_deterministic_fields_equal(short_scalar, short_laned));
+  // A limit short of completion must abort the serial engine with the
+  // reference's exact verdict and partial counts, wherever in the sweep
+  // it lands; the parallel engine aborts with the same typed reason,
+  // and exactly the full budget completes.
+  options.work_limit = short_limit(full.work, k);
+  const ClassifyResult short_reference =
+      classify_paths_reference(circuit, options);
+  const ClassifyResult short_serial = classify_paths_serial(circuit, options);
+  ASSERT_FALSE(short_serial.completed);
+  ASSERT_EQ(short_serial.abort_reason, AbortReason::kWorkBudget);
+  ASSERT_TRUE(all_deterministic_fields_equal(short_reference, short_serial))
+      << "limit " << options.work_limit;
+  ASSERT_LE(short_serial.kept_paths, full.kept_paths);
   options.num_threads = threads;
   const ClassifyResult short_parallel =
       classify_paths_parallel(circuit, options);
   ASSERT_FALSE(short_parallel.completed);
   ASSERT_EQ(short_parallel.abort_reason, AbortReason::kWorkBudget);
   options.work_limit = full.work;
+  ASSERT_TRUE(classify_paths_parallel(circuit, options).completed);
   options.num_threads = 1;
   ASSERT_TRUE(classify_paths_serial(circuit, options).completed);
 }
 
 TEST_P(BitparParallelInvariance, InjectedGuardTripsIdentically) {
-  const auto [selector, threads, lanes] = GetParam();
+  const auto [selector, threads, k] = GetParam();
   const Circuit circuit = circuit_for(selector);
   // A deterministic mid-run guard trip: the poll schedule is a pure
-  // function of the step stream, which the laned DFS preserves, so
-  // the serial partial counts must match the scalar engine's exactly.
-  ClassifyResult scalar;
+  // function of the step stream, so two serial runs tripped at the
+  // same check must agree on every deterministic field.
+  const std::uint64_t nth =
+      trip_check(guard_checks_of_full_run(circuit, ClassifyOptions{}), k);
+  ClassifyResult first;
   {
     ExecGuard guard;
-    guard.inject_trip_at(3, AbortReason::kDeadline);
+    guard.inject_trip_at(nth, AbortReason::kDeadline);
     ClassifyOptions options;
     options.guard = &guard;
-    scalar = classify_paths_serial(circuit, options);
+    first = classify_paths_serial(circuit, options);
   }
-  EXPECT_FALSE(scalar.completed);
-  EXPECT_EQ(scalar.abort_reason, AbortReason::kDeadline);
+  EXPECT_FALSE(first.completed) << "trip at check " << nth;
+  EXPECT_EQ(first.abort_reason, AbortReason::kDeadline);
   {
     ExecGuard guard;
-    guard.inject_trip_at(3, AbortReason::kDeadline);
+    guard.inject_trip_at(nth, AbortReason::kDeadline);
     ClassifyOptions options;
     options.guard = &guard;
-    options.lanes = lanes;
-    const ClassifyResult laned = classify_paths_serial(circuit, options);
-    ASSERT_TRUE(all_deterministic_fields_equal(scalar, laned))
-        << "lanes " << lanes;
+    const ClassifyResult second = classify_paths_serial(circuit, options);
+    ASSERT_TRUE(all_deterministic_fields_equal(first, second))
+        << "trip at check " << nth;
   }
   // The parallel engine's partial counts are scheduling-dependent, but
-  // the typed verdict must survive lanes at every thread count.
+  // an early trip must surface as the typed verdict at every thread
+  // count.
   {
     ExecGuard guard;
-    guard.inject_trip_at(3, AbortReason::kDeadline);
+    guard.inject_trip_at(trip_check(3, k), AbortReason::kDeadline);
     ClassifyOptions options;
     options.guard = &guard;
-    options.lanes = lanes;
     options.num_threads = threads;
     const ClassifyResult parallel =
         classify_paths_parallel(circuit, options);
@@ -429,18 +456,16 @@ INSTANTIATE_TEST_SUITE_P(
     CircuitsThreadsLanes, BitparParallelInvariance,
     ::testing::Combine(::testing::Values(0, 1, 2, 3, 4),
                        ::testing::Values(1u, 2u, 4u),
-                       // 7 = sub-word odd width; 128 = 2-word kernel;
-                       // 320 = 8-word kernel with 192 permanently dead
-                       // lanes (plane widths round up to a power of two
-                       // words); 512 = full-width 8-word kernel.
                        ::testing::Values(1u, 7u, 64u, 128u, 320u, 512u)));
 
-// ---- static-closure invariance (DESIGN.md §14) -----------------------------
+// ---- shared precompute and the learned tier --------------------------------
 
-// (circuit selector, threads, lanes): the closure tier must be a pure
-// perf substitution — every deterministic field bit-identical to the
-// closure-free run across serial, laned and parallel drivers — and the
-// learned tier must shrink kept sets deterministically.
+// (circuit selector, threads, k): a compiled view shared across runs
+// must be a pure substitution for the private compile, and the learned
+// tier must shrink kept sets deterministically — under a probe budget,
+// a work limit and a guard trip derived from k.  The suite is named
+// after the static closure (DESIGN.md §11), the per-entry precompute
+// that used to share this contract.
 class ClosureInvariance
     : public ::testing::TestWithParam<
           std::tuple<int, std::size_t, std::size_t>> {
@@ -455,38 +480,40 @@ class ClosureInvariance
 };
 
 TEST_P(ClosureInvariance, ClosureTierIsBitIdentical) {
-  const auto [selector, threads, lanes] = GetParam();
+  const auto [selector, threads, cap] = GetParam();
   const Circuit circuit = circuit_for(selector);
   const InputSort sort = heuristic1_sort(circuit);
+  // One view per criterion family, built once and shared by every run
+  // below, as the serve cache shares its entry's view.
+  const CompiledCircuit plain(circuit);
+  const CompiledCircuit sorted(
+      circuit, [&sort](GateId gate, std::uint32_t a, std::uint32_t b) {
+        return sort.before(gate, a, b);
+      });
 
   for (Criterion criterion :
        {Criterion::kFunctionalSensitizable, Criterion::kInputSort}) {
-    ClassifyOptions off;
-    off.criterion = criterion;
-    off.sort = criterion == Criterion::kInputSort ? &sort : nullptr;
-    off.collect_lead_counts = true;
-    off.collect_paths_limit = 1u << 16;
-    const ClassifyResult baseline = classify_paths_serial(circuit, off);
+    ClassifyOptions own;
+    own.criterion = criterion;
+    own.sort = criterion == Criterion::kInputSort ? &sort : nullptr;
+    own.collect_lead_counts = true;
+    own.collect_paths_limit = cap;
+    const ClassifyResult baseline = classify_paths_serial(circuit, own);
 
-    ClassifyOptions with = off;
-    with.implications = ImplicationTier::kClosure;
-    const ClassifyResult serial = classify_paths_serial(circuit, with);
-    ASSERT_TRUE(all_deterministic_fields_equal(baseline, serial));
-    EXPECT_GT(serial.closure.hits + serial.closure.misses, 0u);
-
-    with.lanes = lanes;
-    const ClassifyResult laned = classify_paths_serial(circuit, with);
-    ASSERT_TRUE(all_deterministic_fields_equal(baseline, laned))
-        << "lanes " << lanes;
-    with.num_threads = threads;
-    const ClassifyResult parallel = classify_paths_parallel(circuit, with);
+    ClassifyOptions shared = own;
+    shared.compiled = criterion == Criterion::kInputSort ? &sorted : &plain;
+    const ClassifyResult serial = classify_paths_serial(circuit, shared);
+    ASSERT_TRUE(all_deterministic_fields_equal(baseline, serial))
+        << "cap " << cap;
+    shared.num_threads = threads;
+    const ClassifyResult parallel = classify_paths_parallel(circuit, shared);
     ASSERT_TRUE(all_deterministic_fields_equal(baseline, parallel))
-        << "lanes " << lanes << " threads " << threads;
+        << "cap " << cap << " threads " << threads;
   }
 }
 
 TEST_P(ClosureInvariance, LearnedTierShrinksDeterministically) {
-  const auto [selector, threads, lanes] = GetParam();
+  const auto [selector, threads, budget] = GetParam();
   const Circuit circuit = circuit_for(selector);
 
   ClassifyOptions off;
@@ -495,97 +522,95 @@ TEST_P(ClosureInvariance, LearnedTierShrinksDeterministically) {
 
   ClassifyOptions learned = off;
   learned.implications = ImplicationTier::kLearned;
+  learned.learn_budget = budget;
   const ClassifyResult first = classify_paths_serial(circuit, learned);
   const ClassifyResult second = classify_paths_serial(circuit, learned);
   ASSERT_TRUE(all_deterministic_fields_equal(first, second));
-  EXPECT_EQ(first.closure.learned_dropped, second.closure.learned_dropped);
+  EXPECT_EQ(first.learned_dropped, second.learned_dropped);
+  EXPECT_EQ(first.learned_assignments, second.learned_assignments);
 
-  // kept(learned) ⊆ kept(local): probing only drops survivors.
+  // kept(learned) ⊆ kept(local): probing only drops survivors, and
+  // never changes the DFS itself.
   EXPECT_LE(first.kept_paths, baseline.kept_paths);
-  EXPECT_EQ(first.kept_paths + first.closure.learned_dropped,
-            baseline.kept_paths);
+  EXPECT_EQ(first.kept_paths + first.learned_dropped, baseline.kept_paths);
+  EXPECT_EQ(first.work, baseline.work);
 
   // The drop decision depends only on the engine state at each
-  // survivor, which is thread-count- and lane-width-independent.
-  learned.lanes = lanes;
-  const ClassifyResult laned = classify_paths_serial(circuit, learned);
-  ASSERT_EQ(first.kept_paths, laned.kept_paths);
-  ASSERT_EQ(first.kept_keys, laned.kept_keys);
-  EXPECT_EQ(first.closure.learned_dropped, laned.closure.learned_dropped);
+  // survivor, which is thread-count-independent.
   learned.num_threads = threads;
   const ClassifyResult parallel = classify_paths_parallel(circuit, learned);
   ASSERT_EQ(first.kept_paths, parallel.kept_paths);
   ASSERT_EQ(first.kept_keys, parallel.kept_keys);
-  EXPECT_EQ(first.closure.learned_dropped,
-            parallel.closure.learned_dropped);
+  EXPECT_EQ(first.learned_dropped, parallel.learned_dropped);
+  EXPECT_EQ(first.learned_assignments, parallel.learned_assignments);
 }
 
 TEST_P(ClosureInvariance, WorkLimitBoundaryIsExact) {
-  const auto [selector, threads, lanes] = GetParam();
+  const auto [selector, threads, k] = GetParam();
   const Circuit circuit = circuit_for(selector);
   ClassifyOptions options;
   const ClassifyResult full = classify_paths_serial(circuit, options);
   ASSERT_TRUE(full.completed);
 
-  // One unit short of completion: the closure substitutes implication
-  // work, never DFS extension steps, so the abort point and the
-  // partial counts must match the closure-free run exactly.
-  options.work_limit = full.work - 1;
+  // Probes charge implication work, never DFS extension steps, so a
+  // limit short of completion stops the learned run at the same step
+  // as the local one, with every survivor found so far accounted for.
+  options.work_limit = short_limit(full.work, k);
   const ClassifyResult short_off = classify_paths_serial(circuit, options);
-  options.implications = ImplicationTier::kClosure;
-  const ClassifyResult short_closure =
-      classify_paths_serial(circuit, options);
-  ASSERT_FALSE(short_closure.completed);
-  ASSERT_EQ(short_closure.abort_reason, AbortReason::kWorkBudget);
-  ASSERT_TRUE(all_deterministic_fields_equal(short_off, short_closure));
-  options.lanes = lanes;
-  const ClassifyResult short_laned = classify_paths_serial(circuit, options);
-  ASSERT_TRUE(all_deterministic_fields_equal(short_off, short_laned));
+  options.implications = ImplicationTier::kLearned;
+  const ClassifyResult short_learned = classify_paths_serial(circuit, options);
+  ASSERT_FALSE(short_learned.completed);
+  ASSERT_EQ(short_learned.abort_reason, AbortReason::kWorkBudget);
+  ASSERT_EQ(short_learned.abort_reason, short_off.abort_reason);
+  ASSERT_EQ(short_learned.work, short_off.work);
+  ASSERT_EQ(short_learned.kept_paths + short_learned.learned_dropped,
+            short_off.kept_paths);
   options.num_threads = threads;
   const ClassifyResult short_parallel =
       classify_paths_parallel(circuit, options);
   ASSERT_FALSE(short_parallel.completed);
   ASSERT_EQ(short_parallel.abort_reason, AbortReason::kWorkBudget);
   options.work_limit = full.work;
+  ASSERT_TRUE(classify_paths_parallel(circuit, options).completed);
   options.num_threads = 1;
-  options.lanes = 1;
   ASSERT_TRUE(classify_paths_serial(circuit, options).completed);
 }
 
 TEST_P(ClosureInvariance, InjectedGuardTripsIdentically) {
-  const auto [selector, threads, lanes] = GetParam();
+  const auto [selector, threads, k] = GetParam();
   const Circuit circuit = circuit_for(selector);
-  // The closure build never consumes a guard check slot (it polls
-  // tripped() instead of calling check()), so an injected trip lands
-  // on the same downstream check with and without the tier.
+  // Probes never consume a guard check, so an injected trip lands on
+  // the same DFS step with and without the learned tier.
+  const std::uint64_t nth =
+      trip_check(guard_checks_of_full_run(circuit, ClassifyOptions{}), k);
   ClassifyResult off;
   {
     ExecGuard guard;
-    guard.inject_trip_at(3, AbortReason::kDeadline);
+    guard.inject_trip_at(nth, AbortReason::kDeadline);
     ClassifyOptions options;
     options.guard = &guard;
     off = classify_paths_serial(circuit, options);
   }
-  EXPECT_FALSE(off.completed);
+  EXPECT_FALSE(off.completed) << "trip at check " << nth;
   EXPECT_EQ(off.abort_reason, AbortReason::kDeadline);
   {
     ExecGuard guard;
-    guard.inject_trip_at(3, AbortReason::kDeadline);
+    guard.inject_trip_at(nth, AbortReason::kDeadline);
     ClassifyOptions options;
     options.guard = &guard;
-    options.implications = ImplicationTier::kClosure;
-    options.lanes = lanes;
-    const ClassifyResult closure = classify_paths_serial(circuit, options);
-    ASSERT_TRUE(all_deterministic_fields_equal(off, closure))
-        << "lanes " << lanes;
+    options.implications = ImplicationTier::kLearned;
+    const ClassifyResult learned = classify_paths_serial(circuit, options);
+    EXPECT_FALSE(learned.completed);
+    EXPECT_EQ(learned.abort_reason, off.abort_reason);
+    EXPECT_EQ(learned.work, off.work) << "trip at check " << nth;
+    EXPECT_EQ(learned.kept_paths + learned.learned_dropped, off.kept_paths);
   }
   {
     ExecGuard guard;
-    guard.inject_trip_at(3, AbortReason::kDeadline);
+    guard.inject_trip_at(trip_check(3, k), AbortReason::kDeadline);
     ClassifyOptions options;
     options.guard = &guard;
-    options.implications = ImplicationTier::kClosure;
-    options.lanes = lanes;
+    options.implications = ImplicationTier::kLearned;
     options.num_threads = threads;
     const ClassifyResult parallel = classify_paths_parallel(circuit, options);
     EXPECT_FALSE(parallel.completed);

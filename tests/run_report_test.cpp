@@ -456,67 +456,68 @@ TEST(RunReportValidate, RejectsMalformedEcoBlock) {
                           "\"eco.recovery.torn_tmp\" is not a number"));
 }
 
+// The learned-tier counters used to ride in a classify.closure block;
+// with the closure tier removed (DESIGN.md §11) they live in the
+// optional classify.learned block, and no report carries a closure
+// block or closure.* metrics.
 TEST(RunReport, ClosureBlockConformsToSchemaAndFeedsMetrics) {
   RdIdentification rd = classify_c17();
-  rd.classify.closure.literals = 24;
-  rd.classify.closure.dense_rows = 4;
-  rd.classify.closure.csr_rows = 20;
-  rd.classify.closure.bytes = 4096;
-  rd.classify.closure.build_seconds = 0.001;
-  rd.classify.closure.hits = 17;
-  rd.classify.closure.misses = 3;
-  rd.classify.closure.learned_dropped = 2;
+  rd.classify.learned_assignments = 5;
+  rd.classify.learned_dropped = 2;
+  const JsonValue report = round_trip(classify_run_report("c17", "1", rd));
+  EXPECT_TRUE(validate_run_report(report).empty());
+  const JsonValue* learned = report.find("classify")->find("learned");
+  ASSERT_NE(learned, nullptr);
+  EXPECT_EQ(learned->find("assignments")->as_uint64(), 5u);
+  EXPECT_EQ(learned->find("dropped")->as_uint64(), 2u);
+  EXPECT_EQ(report.find("classify")->find("closure"), nullptr);
 
   MetricsRegistry metrics;
   record_classify_metrics(rd.classify, metrics);
-  const JsonValue report =
+  const JsonValue with_metrics =
       round_trip(classify_run_report("c17", "1", rd, &metrics));
-  EXPECT_TRUE(validate_run_report(report).empty());
-  const JsonValue* closure = report.find("classify")->find("closure");
-  ASSERT_NE(closure, nullptr);
-  EXPECT_EQ(closure->find("literals")->as_uint64(), 24u);
-  EXPECT_EQ(closure->find("hits")->as_uint64(), 17u);
-  EXPECT_EQ(closure->find("learned_dropped")->as_uint64(), 2u);
-  const JsonValue* counters = report.find("metrics")->find("counters");
+  EXPECT_TRUE(validate_run_report(with_metrics).empty());
+  const JsonValue* counters = with_metrics.find("metrics")->find("counters");
   ASSERT_NE(counters, nullptr);
-  EXPECT_EQ(counters->find("closure.hits")->as_uint64(), 17u);
+  for (const auto& [name, value] : counters->members())
+    EXPECT_NE(name.rfind("closure.", 0), 0u) << name;
 
-  // A tier-off run carries no closure block at all.
+  // A run that never used the learned tier carries no learned block.
   const JsonValue plain = round_trip(classify_run_report(
       "c17", "1", classify_c17()));
-  EXPECT_EQ(plain.find("classify")->find("closure"), nullptr);
+  EXPECT_EQ(plain.find("classify")->find("learned"), nullptr);
 }
 
+// The validator checks the learned block the closure block handed its
+// counters to (see ClosureBlockConformsToSchemaAndFeedsMetrics).
 TEST(RunReportValidate, RejectsMalformedClosureBlock) {
   RdIdentification rd = classify_c17();
-  rd.classify.closure.literals = 24;
-  rd.classify.closure.hits = 1;
+  rd.classify.learned_dropped = 1;
   const JsonValue pristine = round_trip(classify_run_report("c17", "1", rd));
   ASSERT_TRUE(validate_run_report(pristine).empty());
   JsonValue report = pristine;
 
   JsonValue classify = *pristine.find("classify");
-  classify.set("closure", JsonValue::string("oops"));
+  classify.set("learned", JsonValue::string("oops"));
   report.set("classify", classify);
   EXPECT_TRUE(has_problem(validate_run_report(report),
-                          "\"classify.closure\" is not an object"));
+                          "\"classify.learned\" is not an object"));
 
   classify = *pristine.find("classify");
-  JsonValue no_hits = JsonValue::object();
-  for (const auto& [name, value] : classify.find("closure")->members())
-    if (name != "hits") no_hits.set(name, value);
-  classify.set("closure", std::move(no_hits));
+  JsonValue no_dropped = JsonValue::object();
+  no_dropped.set("assignments", JsonValue::number(std::uint64_t{0}));
+  classify.set("learned", std::move(no_dropped));
   report.set("classify", classify);
   EXPECT_TRUE(has_problem(validate_run_report(report),
-                          "missing key \"hits\" in classify.closure"));
+                          "missing key \"dropped\" in classify.learned"));
 
   classify = *pristine.find("classify");
-  JsonValue bad_bytes = *classify.find("closure");
-  bad_bytes.set("bytes", JsonValue::string("lots"));
-  classify.set("closure", std::move(bad_bytes));
+  JsonValue bad = *classify.find("learned");
+  bad.set("assignments", JsonValue::string("lots"));
+  classify.set("learned", std::move(bad));
   report.set("classify", classify);
   EXPECT_TRUE(has_problem(validate_run_report(report),
-                          "\"classify.closure.bytes\" is not a number"));
+                          "\"classify.learned.assignments\" is not a number"));
 }
 
 // ---- file output ----------------------------------------------------------

@@ -354,6 +354,10 @@ TEST(Session, IncrementalRequestsShareTheConeCache) {
 }
 
 TEST(Session, ClosureRequestsShareTheEntryClosureAndStayIdentical) {
+  // The per-entry closure table is gone (DESIGN.md §11): an entry now
+  // shares only its compiled circuit, and opted-in learned-tier
+  // requests reuse it like any other request.  The removed tier name
+  // is a typed refusal, never a silent fallback to the off tier.
   CircuitCache cache(4);
   SessionConfig config;
   config.cache = &cache;
@@ -361,43 +365,87 @@ TEST(Session, ClosureRequestsShareTheEntryClosureAndStayIdentical) {
   const std::string off_request =
       "{\"op\": \"classify\", \"circuit\": {\"builtin\": \"c17\"}, "
       "\"heuristic\": \"2\"}";
-  const std::string closure_request =
+  const std::string learned_request =
       "{\"op\": \"classify\", \"circuit\": {\"builtin\": \"c17\"}, "
-      "\"heuristic\": \"2\", \"implications\": \"closure\"}";
+      "\"heuristic\": \"2\", \"implications\": \"learned\"}";
 
   const JsonValue off = handle(session, off_request);
   ASSERT_TRUE(validate_run_report(off).empty());
+  EXPECT_FALSE(off.find("serve")->find("cache_hit")->as_bool());
   EXPECT_EQ(off.find("serve")->find("closure"), nullptr);
+  EXPECT_EQ(off.find("classify")->find("closure"), nullptr);
 
-  // First opted-in request on the entry builds the closure; the second
-  // reuses the entry-resident copy and reports it as cached.
-  const JsonValue cold = handle(session, closure_request);
+  const JsonValue cold = handle(session, learned_request);
   ASSERT_TRUE(validate_run_report(cold).empty());
-  const JsonValue* cold_closure = cold.find("serve")->find("closure");
-  ASSERT_NE(cold_closure, nullptr);
-  EXPECT_FALSE(cold_closure->find("cached")->as_bool());
-  EXPECT_GE(cold_closure->find("build_seconds")->as_double(), 0.0);
-
-  const JsonValue warm = handle(session, closure_request);
+  EXPECT_TRUE(cold.find("serve")->find("cache_hit")->as_bool());
+  const JsonValue warm = handle(session, learned_request);
   ASSERT_TRUE(validate_run_report(warm).empty());
-  const JsonValue* warm_closure = warm.find("serve")->find("closure");
-  ASSERT_NE(warm_closure, nullptr);
-  EXPECT_TRUE(warm_closure->find("cached")->as_bool());
+  EXPECT_TRUE(warm.find("serve")->find("cache_hit")->as_bool());
 
-  // The closure tier must not perturb any deterministic classify field
-  // (closure hit/miss counters are scheduling-dependent and excluded,
-  // as is the per-run closure block itself).
   const auto deterministic = [](const JsonValue& report) {
     JsonValue projected = JsonValue::object();
     for (const auto& [key, value] : report.find("classify")->members()) {
-      if (key == "wall_seconds" || key == "workers" || key == "closure")
-        continue;
+      if (key == "wall_seconds" || key == "workers") continue;
       projected.set(key, value);
     }
     return projected.to_string();
   };
-  EXPECT_EQ(deterministic(off), deterministic(cold));
-  EXPECT_EQ(deterministic(off), deterministic(warm));
+  EXPECT_EQ(deterministic(cold), deterministic(warm));
+  EXPECT_LE(cold.find("classify")->find("kept_paths")->as_uint64(),
+            off.find("classify")->find("kept_paths")->as_uint64());
+
+  const JsonValue refused = handle(
+      session,
+      "{\"op\": \"classify\", \"circuit\": {\"builtin\": \"c17\"}, "
+      "\"heuristic\": \"2\", \"implications\": \"closure\"}");
+  ASSERT_TRUE(validate_run_report(refused).empty());
+  EXPECT_EQ(refused.find("kind")->as_string(), "serve_error");
+  EXPECT_EQ(refused.find("error")->find("code")->as_string(), "bad_request");
+  EXPECT_NE(
+      refused.find("error")->find("message")->as_string().find("implications"),
+      std::string::npos);
+}
+
+TEST(Session, LanesOutOfRangeIsABadRequest) {
+  // The lane engine is gone, so no lane width is in range: a request
+  // that still asks for one is a typed bad_request naming the field,
+  // never a silently ignored knob.
+  Session session{SessionConfig{}};
+  for (const char* lanes : {"513", "0", "512", "64"}) {
+    const JsonValue refused = handle(
+        session,
+        std::string("{\"op\": \"classify\", \"circuit\": {\"builtin\": "
+                    "\"c17\"}, \"lanes\": ") +
+            lanes + "}");
+    ASSERT_TRUE(validate_run_report(refused).empty());
+    EXPECT_EQ(refused.find("kind")->as_string(), "serve_error") << lanes;
+    EXPECT_EQ(refused.find("error")->find("code")->as_string(), "bad_request")
+        << lanes;
+    EXPECT_NE(refused.find("error")->find("message")->as_string().find("lanes"),
+              std::string::npos)
+        << lanes;
+  }
+}
+
+// The serve path shares Heuristic 2's pre-run abort decision with the
+// one-shot CLI: the same limit yields the same typed abort, never a
+// sort cut from truncated counts.
+TEST(Session, Heuristic2PrerunAbortIsTyped) {
+  for (const char* threads : {"1", "4"}) {
+    Session session{SessionConfig{}};
+    const JsonValue report = handle(
+        session,
+        std::string("{\"op\": \"classify\", \"circuit\": {\"builtin\": "
+                    "\"c880\"}, \"heuristic\": \"2\", \"work_limit\": "
+                    "23000, \"threads\": ") +
+            threads + "}");
+    ASSERT_TRUE(validate_run_report(report).empty());
+    EXPECT_EQ(report.find("kind")->as_string(), "classify_run") << threads;
+    const JsonValue* classify = report.find("classify");
+    EXPECT_FALSE(classify->find("completed")->as_bool()) << threads;
+    EXPECT_EQ(classify->find("abort_reason")->as_string(), "work_budget")
+        << threads;
+  }
 }
 
 TEST(Session, LearnedTierWithIncrementalIsABadRequest) {
@@ -422,36 +470,6 @@ TEST(Session, LearnedTierWithIncrementalIsABadRequest) {
       session,
       "{\"op\": \"classify\", \"circuit\": {\"builtin\": \"c17\"}, "
       "\"implications\": \"learned\"}");
-  ASSERT_TRUE(validate_run_report(ok).empty());
-  EXPECT_EQ(ok.find("kind")->as_string(), "classify_run");
-}
-
-TEST(Session, LanesOutOfRangeIsABadRequest) {
-  Session session{SessionConfig{}};
-  // Strict upper bound: widths past kMaxLanes (512) are typed
-  // bad_request errors naming the field, never silent clamps.
-  const JsonValue over = handle(
-      session,
-      "{\"op\": \"classify\", \"circuit\": {\"builtin\": \"c17\"}, "
-      "\"lanes\": 513}");
-  ASSERT_TRUE(validate_run_report(over).empty());
-  EXPECT_EQ(over.find("kind")->as_string(), "serve_error");
-  EXPECT_EQ(over.find("error")->find("code")->as_string(), "bad_request");
-  EXPECT_NE(over.find("error")->find("message")->as_string().find("lanes"),
-            std::string::npos);
-
-  const JsonValue zero = handle(
-      session,
-      "{\"op\": \"classify\", \"circuit\": {\"builtin\": \"c17\"}, "
-      "\"lanes\": 0}");
-  EXPECT_EQ(zero.find("kind")->as_string(), "serve_error");
-  EXPECT_EQ(zero.find("error")->find("code")->as_string(), "bad_request");
-
-  // The boundary value itself must be accepted.
-  const JsonValue ok = handle(
-      session,
-      "{\"op\": \"classify\", \"circuit\": {\"builtin\": \"c17\"}, "
-      "\"lanes\": 512}");
   ASSERT_TRUE(validate_run_report(ok).empty());
   EXPECT_EQ(ok.find("kind")->as_string(), "classify_run");
 }
