@@ -170,18 +170,14 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", refinement.to_string().c_str());
 
-  // Ablation (d): implication tiers (DESIGN.md §14).  The learned
-  // tier spends failed-literal probes to refute survivors, so its kept
-  // set sits between the exact FS set and the local-implication
-  // approximation.  On circuits small enough for the exhaustive
-  // reference, the containment exact ⊆ learned ⊆ local is checked as
-  // sets, not counts — a sound probe can only drop paths the exact
-  // sweep also drops.
+  // Ablation (d): the approximation gap of the local implications.
+  // On circuits small enough for the exhaustive reference, the kept
+  // set must contain the exact FS set — checked as sets, not counts:
+  // a sound pruning can only drop paths the exact sweep also drops.
   std::printf(
-      "\nAblation (d): implication tiers on the FS classifier\n"
+      "\nAblation (d): exact FS set vs the local-implication kept set\n"
       "(kept = |LP^sup|; exact = exhaustive vector sweep)\n\n");
-  TextTable tiers({"circuit", "exact", "kept (off)", "kept (learned)",
-                   "dropped", "sound"});
+  TextTable tiers({"circuit", "exact", "kept", "gap", "sound"});
   bool tier_violation = false;
   {
     struct TierCase {
@@ -191,7 +187,6 @@ int main(int argc, char** argv) {
     std::vector<TierCase> cases;
     cases.push_back({"example", paper_example_circuit()});
     cases.push_back({"c17", c17()});
-    // The one case where the learned tier provably earns its keep:
     // FS^sup over-keeps a path whose side constraints encode an
     // unsatisfiable CNF the drain never refutes locally.
     cases.push_back({"unsat-side", unsat_side_constraint_circuit()});
@@ -209,42 +204,29 @@ int main(int argc, char** argv) {
     }
     for (TierCase& item : cases) {
       if (!options.circuits.empty() && !options.selected(item.name)) continue;
-      ClassifyOptions tier_base = base;
-      tier_base.criterion = Criterion::kFunctionalSensitizable;
-      tier_base.collect_paths_limit = std::uint64_t{1} << 20;
+      ClassifyOptions local = base;
+      local.criterion = Criterion::kFunctionalSensitizable;
+      local.collect_paths_limit = std::uint64_t{1} << 20;
 
-      ClassifyOptions off = tier_base;
-      ClassifyOptions learned = tier_base;
-      learned.implications = ImplicationTier::kLearned;
-
-      const ClassifyResult off_run = classify_paths(item.circuit, off);
-      const ClassifyResult learned_run =
-          classify_paths(item.circuit, learned);
+      const ClassifyResult local_run = classify_paths(item.circuit, local);
       const LogicalPathSet exact = exact_kept_paths(
           item.circuit, Criterion::kFunctionalSensitizable);
 
-      const LogicalPathSet local_set(off_run.kept_keys.begin(),
-                                     off_run.kept_keys.end());
-      const LogicalPathSet learned_set(learned_run.kept_keys.begin(),
-                                       learned_run.kept_keys.end());
-      const bool exact_in_learned = std::includes(
-          learned_set.begin(), learned_set.end(), exact.begin(), exact.end());
-      const bool learned_in_local = std::includes(
-          local_set.begin(), local_set.end(), learned_set.begin(),
-          learned_set.end());
-      const bool sound = exact_in_learned && learned_in_local;
+      const LogicalPathSet local_set(local_run.kept_keys.begin(),
+                                     local_run.kept_keys.end());
+      const bool sound = std::includes(local_set.begin(), local_set.end(),
+                                       exact.begin(), exact.end());
       if (!sound) {
         std::fprintf(stderr,
-                     "[ablation] ERROR: %s tier containment violated "
-                     "(exact⊆learned %d, learned⊆local %d)\n",
-                     item.name.c_str(), exact_in_learned, learned_in_local);
+                     "[ablation] ERROR: %s exact FS set not contained in "
+                     "the kept set\n",
+                     item.name.c_str());
         tier_violation = true;
       }
 
       tiers.add_row({item.name, std::to_string(exact.size()),
-                     std::to_string(off_run.kept_paths),
-                     std::to_string(learned_run.kept_paths),
-                     std::to_string(learned_run.learned_dropped),
+                     std::to_string(local_run.kept_paths),
+                     std::to_string(local_run.kept_paths - exact.size()),
                      sound ? "yes" : "NO"});
       if (report.enabled()) {
         JsonValue json_row = JsonValue::object();
@@ -253,13 +235,7 @@ int main(int argc, char** argv) {
         json_row.set("exact_kept",
                      JsonValue::number(
                          static_cast<std::uint64_t>(exact.size())));
-        json_row.set("kept_off", JsonValue::number(off_run.kept_paths));
-        json_row.set("kept_learned",
-                     JsonValue::number(learned_run.kept_paths));
-        json_row.set("learned_dropped",
-                     JsonValue::number(learned_run.learned_dropped));
-        json_row.set("learned_assignments",
-                     JsonValue::number(learned_run.learned_assignments));
+        json_row.set("kept_off", JsonValue::number(local_run.kept_paths));
         json_row.set("sound", JsonValue::boolean(sound));
         report.add_row(std::move(json_row));
       }
@@ -268,8 +244,8 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", tiers.to_string().c_str());
   std::printf(
-      "\nlearned drops only paths the exhaustive sweep also excludes\n"
-      "(soundness check).\n");
+      "\nthe kept set contains every exactly sensitizable path\n"
+      "(soundness check); the gap is what local implications miss.\n");
   report.write();
   return tier_violation ? 1 : 0;
 }

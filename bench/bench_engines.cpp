@@ -1,12 +1,13 @@
 // Exact-engine comparison: the library has three ways to decide a
 // path-sensitizability question exactly — exhaustive vector sweep,
 // BDD satisfiability, SAT-under-assumptions — plus the paper's
-// local-implication approximation, in both its serial and its sharded
-// parallel form.  This harness times all of them on the full FS
-// classification of growing circuits, showing where each engine's
-// feasibility ends, quantifying the approximation's speed advantage,
-// and reporting the serial-vs-parallel speedup (and the bit-identity
-// of their kept counts) on the largest circuit.
+// local-implication approximation, run by classify_paths at one
+// thread (serial) and at N threads (parallel).  This harness times all
+// of them on the full FS classification of growing circuits, showing
+// where each engine's feasibility ends, quantifying the
+// approximation's speed advantage, and reporting the serial-vs-parallel
+// speedup (and the bit-identity of their kept counts) on the largest
+// circuit.
 #include <cstdio>
 
 #include "bdd/bdd_circuit.h"
@@ -64,12 +65,12 @@ int main(int argc, char** argv) {
     base.criterion = Criterion::kFunctionalSensitizable;
     ClassifyResult approx;
     const double approx_seconds = median_wall_seconds(
-        kTimedRuns, [&] { approx = classify_paths_serial(circuit, base); });
+        kTimedRuns, [&] { approx = classify_paths(circuit, base); });
 
     base.num_threads = options.threads;
     ClassifyResult parallel;
     const double parallel_seconds = median_wall_seconds(kTimedRuns, [&] {
-      parallel = classify_paths_parallel(circuit, base);
+      parallel = classify_paths(circuit, base);
     });
     if (parallel.kept_paths != approx.kept_paths)
       std::fprintf(stderr,

@@ -1,8 +1,8 @@
 // Micro-throughput study of the compiled execution layer (DESIGN.md
 // §9): the frozen pre-compilation classifier/engine pair
 // (classify_paths_reference, ReferenceImplicationEngine) against the
-// production compiled pair (classify_paths_serial, ImplicationEngine)
-// on identical work.
+// production compiled pair (classify_paths at one thread,
+// ImplicationEngine) on identical work.
 //
 // Both engines produce bit-identical results and event counters, so
 // the *logical* work of a run — its ImplicationStats propagation
@@ -63,7 +63,7 @@ bool deterministic_fields_equal(const ClassifyResult& a,
 // using the same compiled side-input tables and FS criterion as the
 // production DFS, so the kept count must agree exactly.  This is the
 // Θ(depth)-redundant traversal the shared-prefix-tree DFS
-// (classify_paths_serial) amortizes to one assertion per tree edge.
+// (classify_paths) amortizes to one assertion per tree edge.
 std::uint64_t classify_flat_fs(const CompiledCircuit& compiled,
                                const std::vector<PhysicalPath>& paths) {
   ImplicationEngine engine(compiled);
@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
         median_wall_seconds_interleaved(
             runs, /*min_window_seconds=*/0.05,
             [&] { reference = classify_paths_reference(row.circuit, base); },
-            [&] { compiled = classify_paths_serial(row.circuit, base); });
+            [&] { compiled = classify_paths(row.circuit, base); });
     if (!deterministic_fields_equal(reference, compiled)) {
       std::fprintf(stderr,
                    "[micro] ERROR: %s compiled result differs from the "
@@ -308,7 +308,7 @@ int main(int argc, char** argv) {
         median_wall_seconds_interleaved(
             runs, /*min_window_seconds=*/0.05,
             [&] { flat_kept = classify_flat_fs(compiled, paths); },
-            [&] { tree = classify_paths_serial(circuit, base); });
+            [&] { tree = classify_paths(circuit, base); });
     const bool identical = tree.completed && flat_kept == tree.kept_paths;
     if (!identical) {
       std::fprintf(stderr,

@@ -6,7 +6,8 @@
 #
 #   1. Release build + the complete ctest suite (including the
 #      fault-injected CLI abort fixtures),
-#   2. the AddressSanitizer gate (scripts/check_asan.sh),
+#   2. the AddressSanitizer + UndefinedBehaviorSanitizer gate
+#      (scripts/check_asan.sh),
 #   3. the ThreadSanitizer gate (scripts/check_tsan.sh),
 #   4. the quick benchmark sweep with JSON validation
 #      (scripts/run_bench.sh), which also gates the compiled-engine,
@@ -26,7 +27,7 @@ cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j"$(nproc)"
 ctest --test-dir build-release --output-on-failure -j"$(nproc)"
 
-echo "== [2/4] ASAN gate"
+echo "== [2/4] ASAN+UBSAN gate"
 scripts/check_asan.sh
 
 echo "== [3/4] TSAN gate"

@@ -42,33 +42,18 @@ enum class Criterion : std::uint8_t {
   kInputSort,
 };
 
-/// Implication tier (DESIGN.md §14).
-///
-///   kOff      local implications only: the event-drain engine
-///             (default).
-///   kLearned  plus failed-literal probing of surviving paths: unknown
-///             side inputs of a survivor are probed at both polarities
-///             on the worker's engine; a refuted polarity forces the
-///             other, both refuted proves the path's constraint set
-///             unsatisfiable and drops it.  Sound (dropped paths are
-///             truly robust dependent — exact ⊆ learned ⊆ local) and
-///             deterministic, but the kept set genuinely shrinks, so
-///             learned results must not be mixed with kOff results by
-///             caching layers.
-enum class ImplicationTier : std::uint8_t { kOff, kLearned };
-
 struct ClassifyOptions {
   Criterion criterion = Criterion::kFunctionalSensitizable;
 
   /// Required when criterion == kInputSort.
   const InputSort* sort = nullptr;
 
-  /// Number of worker threads for the classification DFS.  1 (default)
-  /// runs the classic serial engine on the calling thread; 0 resolves
-  /// to the hardware concurrency; N > 1 shards the DFS frontier by
-  /// (primary input, final value, first fanout lead) seed across a
-  /// thread pool.  Results are bit-identical for every setting — the
-  /// merge happens in canonical seed order, never completion order.
+  /// Number of worker threads for the classification DFS; 0 resolves
+  /// to the hardware concurrency.  1 (default) runs the whole DFS on
+  /// the calling thread; N > 1 cuts the path-prefix tree at a split
+  /// depth and fans the subtrees out over a thread pool.  Results are
+  /// bit-identical for every setting — the merge happens in canonical
+  /// discovery order, never completion order.
   std::size_t num_threads = 1;
 
   /// Tally per-lead controlling-value survivor counts (costs a walk of
@@ -107,18 +92,10 @@ struct ClassifyOptions {
   /// function of (circuit, sort), so results are bit-identical either
   /// way.  Not owned; shared read-only across concurrent runs.
   const CompiledCircuit* compiled = nullptr;
-
-  /// Implication tier (see ImplicationTier).  kOff by default: the
-  /// learned tier's probes cost 2.5-7x on the ISCAS stand-ins.
-  ImplicationTier implications = ImplicationTier::kOff;
-
-  /// kLearned: cap on probed side-input literals per surviving path
-  /// (0 = probe every unknown side input along the path).
-  std::uint64_t learn_budget = 0;
 };
 
-/// Per-worker observability counters of one parallel classification
-/// run (scheduling-dependent; carries no determinism guarantee).
+/// Per-worker observability counters of one classification run
+/// (scheduling-dependent; carries no determinism guarantee).
 struct ClassifyWorkerStats {
   std::uint64_t seeds = 0;         // seed subtrees this worker ran
   std::uint64_t steals = 0;        // of those, stolen from another shard
@@ -157,7 +134,7 @@ struct ClassifyResult {
   /// and thread-count independent on completed runs).
   std::uint64_t work = 0;
 
-  /// Observability: per-worker accounting (empty on serial runs).
+  /// Observability: per-worker accounting (empty on one-worker runs).
   /// Excluded from the determinism guarantee.
   std::vector<ClassifyWorkerStats> worker_stats;
 
@@ -167,37 +144,18 @@ struct ClassifyResult {
   /// abort point are scheduling-dependent.
   ImplicationStats implication;
 
-  /// kLearned: literals forced by a single refuted probe polarity,
-  /// and survivors dropped because both polarities of some literal
-  /// were refuted (both zero under kOff).  Deterministic: the probe
-  /// verdict at each survivor depends only on the engine state there,
-  /// which is thread-count-independent.
-  std::uint64_t learned_assignments = 0;
-  std::uint64_t learned_dropped = 0;
-
   /// Observability: wall-clock seconds of the classification DFS
   /// (excludes the structural counting post-pass).  Nondeterministic.
   double wall_seconds = 0.0;
 };
 
-/// Runs the implicit-enumeration classifier over the whole circuit,
-/// dispatching on options.num_threads (see there).
+/// Runs the implicit-enumeration classifier over the whole circuit on
+/// options.num_threads workers (see there).  A work-limit abort with
+/// one worker stops at exactly step work_limit + 1 with deterministic
+/// partial counts; with more workers the completed/aborted verdict is
+/// still thread-count-independent, the partial counts are not.
 ClassifyResult classify_paths(const Circuit& circuit,
                               const ClassifyOptions& options);
-
-/// Always runs the classic single-threaded engine on the calling
-/// thread, ignoring options.num_threads.  Reference engine for the
-/// determinism test harness.
-ClassifyResult classify_paths_serial(const Circuit& circuit,
-                                     const ClassifyOptions& options);
-
-/// Always runs the sharded engine on a thread pool of
-/// resolve(options.num_threads) workers (so num_threads == 1 still
-/// exercises the parallel code path, which the differential tests
-/// rely on).  Bit-identical to classify_paths_serial on the
-/// deterministic fields for every thread count.
-ClassifyResult classify_paths_parallel(const Circuit& circuit,
-                                       const ClassifyOptions& options);
 
 /// Single-path query: would `path` survive classify_paths under this
 /// criterion?  Asserts the same side-input conditions along the path

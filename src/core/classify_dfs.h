@@ -1,25 +1,23 @@
-// Internal: the implicit-enumeration DFS core shared by the serial and
-// parallel classification engines (core/classify.cpp and
-// core/classify_parallel.cpp).  Not part of the public API.
+// Internal: the implicit-enumeration DFS core behind classify_paths
+// (core/classify_parallel.cpp).  Not part of the public API.
 //
 // The unit of work is a *node of the shared path-prefix tree*: the
-// serial engine runs one DFS subtree per (primary input, final stable
-// value, first fanout lead) seed; the parallel engine cuts deeper, at
-// subtree granularity (run_subtree + set_frontier_cut — DESIGN.md
-// §10), so deep narrow circuits still shard.  Either way the outputs
-// merged in canonical discovery order reproduce the classic
-// single-threaded DFS bit for bit:
+// driver walks every (primary input, final stable value, first fanout
+// lead) seed on the calling thread and, when it runs more than one
+// worker, cuts the walk at a split depth (run_subtree +
+// set_frontier_cut — DESIGN.md §10), so deep narrow circuits still
+// shard.  With one worker there is no cut and the seed walk is the
+// whole DFS.  Either way the outputs merged in canonical discovery
+// order reproduce the classic single-threaded DFS bit for bit:
 //
 //   * kept/work counters are sums of per-node counters (commutative),
 //   * kept_controlling_per_lead is an elementwise sum,
-//   * kept keys concatenated in discovery order equal the serial DFS
+//   * kept keys concatenated in discovery order equal the uncut DFS
 //     order, so truncation at collect_paths_limit matches.
 //
-// Work accounting is abstracted behind a Budget policy with a single
-// charge() hook called once per DFS gate-extension step — exactly the
-// points where the classic engine incremented ClassifyResult::work —
-// so the serial counter and the parallel shared atomic counter observe
-// the same step stream.
+// Work accounting goes through SharedBudget, whose charge() hook is
+// called once per DFS gate-extension step — exactly the points where
+// the classic engine incremented ClassifyResult::work.
 //
 // Compiled hot path (DESIGN.md §9): the DFS runs over a
 // CompiledCircuit — CSR adjacency, predecoded gate semantics, and the
@@ -33,10 +31,10 @@
 //     otherwise *replays* the recorded ImplicationStats delta of the
 //     cached assignment — the counters advance exactly as if the
 //     assignment had been re-propagated;
-//   * guard striding: SerialBudget polls its ExecGuard once every
-//     kGuardStride charges (passing the accumulated step count, so the
-//     guard's work counter stays exact) plus a flush at every seed
-//     boundary, instead of a poll per DFS step.
+//   * guard striding: SharedBudget polls its ExecGuard once per flush
+//     (every kFlushEvery charges, passing the accumulated step count,
+//     so the guard's work counter stays exact) plus a flush at every
+//     seed or subtree boundary, instead of a poll per DFS step.
 #pragma once
 
 #include <atomic>
@@ -66,7 +64,7 @@ struct ClassifySeed {
 };
 
 /// Canonical seed order: circuit PI order, then final value
-/// {false, true}, then the PI's fanout-lead order.  The serial DFS
+/// {false, true}, then the PI's fanout-lead order.  The uncut DFS
 /// visits seeds exactly in this order.
 inline std::vector<ClassifySeed> enumerate_seeds(const Circuit& circuit) {
   std::vector<ClassifySeed> seeds;
@@ -122,7 +120,7 @@ inline const CompiledCircuit* resolve_compiled(
   // hit; a finalized circuit is structurally immutable, so a hit is
   // bit-identical to a fresh compile and verdicts/stats are unchanged.
   // Two slots (insert-at-front LRU): a returned pointer stays valid
-  // until the same thread misses twice more, and the drivers complete
+  // until the same thread misses twice more, and the driver completes
   // synchronously before any caller could do that.  Large circuits
   // skip the cache — their compile is noise and the tables are worth
   // real memory.
@@ -150,74 +148,18 @@ inline const CompiledCircuit* resolve_compiled(
   return owned.get();
 }
 
-/// Serial work budget: the classic `++work > limit` abort check, plus
-/// an optional ExecGuard.  The work limit is evaluated on every charge
-/// (the completed/aborted verdict stays exact to the step); the guard
-/// is polled once per kGuardStride charges with the accumulated step
-/// count — its work counter advances by the same total, only in
-/// batches — and flushed at seed boundaries by the run loop.
-class SerialBudget {
- public:
-  explicit SerialBudget(std::uint64_t limit, ExecGuard* guard = nullptr)
-      : limit_(limit), guard_(guard) {}
-
-  /// Charges one DFS step; false once the budget is exhausted or the
-  /// guard has tripped.
-  bool charge() {
-    if (++used_ > limit_) {
-      if (reason_ == AbortReason::kNone) reason_ = AbortReason::kWorkBudget;
-      return false;
-    }
-    if (guard_ == nullptr) return true;
-    if (guard_tripped_) return false;
-    if (++unpolled_ >= kGuardStride) return poll_guard();
-    return true;
-  }
-
-  /// Publishes the charges accumulated since the last poll (call at
-  /// seed boundaries, so the guard's work counter is exact between
-  /// seeds).  Returns false if the guard has tripped.
-  bool flush() {
-    if (guard_ == nullptr) return true;
-    if (guard_tripped_) return false;
-    if (unpolled_ == 0) return true;
-    return poll_guard();
-  }
-
-  std::uint64_t used() const { return used_; }
-
-  /// First trip cause (kNone while charging succeeds).
-  AbortReason reason() const { return reason_; }
-
-  ExecGuard* guard() const { return guard_; }
-
- private:
-  static constexpr std::uint64_t kGuardStride = 64;
-
-  bool poll_guard() {
-    const std::uint64_t batch = unpolled_;
-    unpolled_ = 0;
-    if (guard_->check(batch)) return true;
-    guard_tripped_ = true;
-    if (reason_ == AbortReason::kNone) reason_ = guard_->reason();
-    return false;
-  }
-
-  std::uint64_t limit_;
-  ExecGuard* guard_;
-  std::uint64_t used_ = 0;
-  std::uint64_t unpolled_ = 0;
-  bool guard_tripped_ = false;
-  AbortReason reason_ = AbortReason::kNone;
-};
-
-/// Shared work budget for concurrent workers: steps accumulate into one
-/// atomic total (flushed in batches to keep the hot path cheap), and
-/// the first flush that pushes the total past the limit raises a
-/// cooperative cancellation flag every worker polls on each step.  The
-/// completed/aborted verdict is deterministic — it depends only on
-/// whether the full (thread-count-independent) step total exceeds the
-/// limit — even though the partial counts at the abort point are not.
+/// Work budget of one classification run: steps accumulate into one
+/// atomic total shared by every worker (flushed in batches to keep the
+/// hot path cheap), and the first flush that pushes the total past the
+/// limit raises a cooperative cancellation flag every worker polls on
+/// each step.  A worker also stops on its own once the total it last
+/// saw published plus its unflushed steps passes the limit; published
+/// totals only grow, so that sum never exceeds the true step total.
+/// The completed/aborted verdict is therefore deterministic — it
+/// depends only on whether the full (thread-count-independent) step
+/// total exceeds the limit — and a lone worker, whose published total
+/// is exact, stops at exactly step limit + 1.  Partial counts at an
+/// abort point are deterministic only with one worker.
 class SharedBudget {
  public:
   /// State shared by all workers of one classification run.
@@ -245,33 +187,51 @@ class SharedBudget {
     }
   };
 
-  explicit SharedBudget(Shared& shared) : shared_(&shared) {}
+  explicit SharedBudget(Shared& shared)
+      : shared_(&shared),
+        headroom_(headroom_after(
+            shared.total.load(std::memory_order_relaxed))) {}
 
+  /// Charges one DFS step; false once the run is cancelled or this
+  /// step provably exceeds the work limit.
   bool charge() {
-    if (++unflushed_ >= kFlushEvery) flush();
+    if (++unflushed_ > headroom_) {
+      flush();
+      return false;
+    }
+    if (unflushed_ >= kFlushEvery) flush();
     return !shared_->cancelled.load(std::memory_order_relaxed);
   }
 
-  /// Publishes locally counted steps; call at least once per seed.
-  /// The ExecGuard is polled here, at flush granularity, so the hot
-  /// path stays two increments and one relaxed load per step.
+  /// Publishes locally counted steps; call at least once per seed or
+  /// subtree.  The ExecGuard is polled here, at flush granularity, so
+  /// the hot path stays a few increments and one relaxed load per step.
   void flush() {
     if (unflushed_ == 0) return;
-    const std::uint64_t before =
-        shared_->total.fetch_add(unflushed_, std::memory_order_relaxed);
-    if (before + unflushed_ > shared_->limit)
-      shared_->record(AbortReason::kWorkBudget);
-    if (shared_->guard != nullptr && !shared_->guard->check(unflushed_))
-      shared_->record(shared_->guard->reason());
+    const std::uint64_t batch = unflushed_;
     unflushed_ = 0;
+    const std::uint64_t after =
+        shared_->total.fetch_add(batch, std::memory_order_relaxed) + batch;
+    headroom_ = headroom_after(after);
+    if (after > shared_->limit) shared_->record(AbortReason::kWorkBudget);
+    if (shared_->guard != nullptr && !shared_->guard->check(batch))
+      shared_->record(shared_->guard->reason());
   }
 
   ExecGuard* guard() const { return shared_->guard; }
 
  private:
   static constexpr std::uint64_t kFlushEvery = 512;
+
+  std::uint64_t headroom_after(std::uint64_t published) const {
+    return published >= shared_->limit ? 0 : shared_->limit - published;
+  }
+
   Shared* shared_;
   std::uint64_t unflushed_ = 0;
+  // Steps this worker may still charge before the published total it
+  // last saw plus its own unflushed steps would pass the limit.
+  std::uint64_t headroom_;
 };
 
 /// Per-node outputs (a seed subtree or a stolen deeper subtree) that
@@ -279,8 +239,8 @@ class SharedBudget {
 /// a pooled flat arena — recording a path never heap-allocates per
 /// path; callers materialize ClassifyResult::kept_keys from it during
 /// the (cold) merge.  Shared across SeedDfs instantiations so the
-/// parallel engine's phase-1 (frontier) and phase-2 (plain) drivers
-/// produce merge-compatible values.
+/// phase-1 (frontier) and phase-2 (plain) drivers produce
+/// merge-compatible values.
 struct SeedOutcome {
   std::uint64_t kept_paths = 0;
   std::uint64_t work = 0;
@@ -288,7 +248,7 @@ struct SeedOutcome {
   bool exhausted = false;  // budget ran out inside this subtree
 };
 
-/// DFS driver for one worker (or the single serial thread).  Owns a
+/// DFS driver for one worker (or the calling thread's seed walk).  Owns a
 /// private ImplicationEngine — the thread-local implication invariant:
 /// no implication state is ever shared between workers — over the
 /// run-shared read-only CompiledCircuit, and is reused across the
@@ -299,9 +259,10 @@ struct SeedOutcome {
 ///
 /// `kFrontier` selects the phase-1 frontier-cut mode at compile time
 /// (set_frontier_cut + the per-extension split-depth test): the plain
-/// instantiation — the serial engine and the phase-2 workers — carries
-/// zero frontier overhead in its extension hot loop.
-template <class Budget, bool kFrontier = false>
+/// instantiation — the phase-2 workers — carries zero frontier
+/// overhead in its extension hot loop.  Without set_frontier_cut the
+/// split depth is unbounded and the frontier driver runs whole seeds.
+template <bool kFrontier = false>
 class SeedDfs {
  public:
   using SeedOutcome = ::rd::internal::SeedOutcome;
@@ -310,7 +271,7 @@ class SeedDfs {
   /// controlling-value survivor tallies (order-independent sums, so a
   /// per-worker accumulator merges deterministically).
   SeedDfs(const CompiledCircuit& compiled, const ClassifyOptions& options,
-          Budget& budget, std::vector<std::uint64_t>* lead_counts)
+          SharedBudget& budget, std::vector<std::uint64_t>* lead_counts)
       : compiled_(compiled),
         options_(options),
         budget_(budget),
@@ -328,10 +289,6 @@ class SeedDfs {
     return engine_.stats();
   }
 
-  /// kLearned counters of this driver (merged by summation).
-  std::uint64_t learned_assignments() const { return learned_assignments_; }
-  std::uint64_t learned_dropped() const { return learned_dropped_; }
-
   /// Runs one seed subtree.  `max_keys` caps this seed's key
   /// collection (the caller threads the global collect_paths_limit
   /// through it).
@@ -347,21 +304,21 @@ class SeedDfs {
     return std::move(outcome_);
   }
 
-  /// Phase-1 frontier mode (the parallel classifier's shallow pass):
+  /// Phase-1 frontier mode (the multi-worker classifier's shallow pass):
   /// the DFS is cut at `split_depth` leads — a live (non-PO-tipped)
   /// node at that depth is handed to `on_frontier` as a subtree root
   /// instead of being descended into — and `on_survivor` fires for
   /// every path recorded above the cut, so the caller can log the
   /// interleaved discovery order its merge must reproduce.  Charging
   /// is untouched: the cut edge itself is charged exactly as the
-  /// serial DFS charges it; everything below the cut is charged by
+  /// uncut DFS charges it; everything below the cut is charged by
   /// whichever worker adopts the subtree (run_subtree).
   void set_frontier_cut(
       std::size_t split_depth,
       std::function<void(const std::vector<LeadId>&)> on_frontier,
       std::function<void()> on_survivor) {
     static_assert(kFrontier,
-                  "set_frontier_cut requires a SeedDfs<Budget, true>");
+                  "set_frontier_cut requires a SeedDfs<true>");
     split_depth_ = split_depth;
     on_frontier_ = std::move(on_frontier);
     on_survivor_ = std::move(on_survivor);
@@ -374,9 +331,9 @@ class SeedDfs {
   /// diverges from the trail it already holds (rollback to the common
   /// ancestor + assert the divergent leads), then restore_stats
   /// disowns those charges, because phase 1 already charged every
-  /// prefix edge and the per-seed pair delta exactly as the serial
-  /// engine does.  The subtree's own edges (depth > split) are then
-  /// charged normally, so merged counters are bit-identical to serial.
+  /// prefix edge and the per-seed pair delta exactly as the uncut DFS
+  /// does.  The subtree's own edges (depth > split) are then charged
+  /// normally, so merged counters are bit-identical to the uncut DFS.
   SeedOutcome run_subtree(const ClassifySeed& seed, const LeadId* prefix,
                           std::size_t depth, std::uint64_t max_keys) {
     begin_node(max_keys, seed.final_value);
@@ -387,22 +344,13 @@ class SeedDfs {
     return std::move(outcome_);
   }
 
-  /// Returns a consumed outcome's arena to the pool so the next node's
-  /// collection reuses its capacity.
-  void recycle(PathKeyArena&& arena) {
-    arena_pool_ = std::move(arena);
-  }
-
  private:
   void begin_node(std::uint64_t max_keys, bool final_value) {
-    // Field-wise reset: `outcome_ = SeedOutcome{}` would default-build
-    // (and immediately discard) a PathKeyArena, whose constructor
-    // allocates — one malloc+free per seed, measurable on circuits
-    // whose whole classification takes microseconds.
+    // The previous node's outcome was moved out; clear() puts its
+    // moved-from arena back into a defined, empty state.
     outcome_.kept_paths = 0;
     outcome_.work = 0;
     outcome_.exhausted = false;
-    outcome_.keys = std::move(arena_pool_);
     outcome_.keys.clear();
     max_keys_ = max_keys;
     current_final_pi_value_ = final_value;
@@ -418,7 +366,7 @@ class SeedDfs {
   }
 
   /// Charge-free prefix adoption for run_subtree: leaves the engine
-  /// holding exactly the serial engine's state at the tree node
+  /// holding exactly the uncut DFS's engine state at the tree node
   /// `prefix[0..depth)` of `seed` (checkpoint → rollback to the common
   /// trail prefix → replay the divergent suffix → restore_stats), loads
   /// segment_ with the full prefix, and returns the subtree's tip gate.
@@ -449,8 +397,8 @@ class SeedDfs {
     }
     engine_.restore_stats(replay.stats);
 
-    // The engine now holds exactly the serial engine's state at this
-    // tree node.  segment_ carries the full prefix so recorded keys
+    // The engine now holds exactly the uncut DFS's state at this tree
+    // node.  segment_ carries the full prefix so recorded keys
     // and lead tallies cover the whole path.
     segment_.assign(prefix, prefix + depth);
     return compiled_.lead(prefix[depth - 1]).sink;
@@ -510,7 +458,7 @@ class SeedDfs {
 
   /// Extends the current segment through `lead_id`, whose driver has
   /// stable value `tip_value`.  Returns false when the budget is
-  /// exhausted (serial) or the run is cancelled (parallel).
+  /// exhausted or the run is cancelled.
   bool extend_through(LeadId lead_id, bool tip_value) {
     ++outcome_.work;
     if (!budget_.charge()) return false;
@@ -525,8 +473,8 @@ class SeedDfs {
         if (segment_.size() >= split_depth_ &&
             compiled_.semantics(lead.sink).type != GateType::kOutput) {
           // Frontier cut: this live node becomes a phase-2 subtree
-          // root.  Its edge was charged above, exactly as serial
-          // charges it.
+          // root.  Its edge was charged above, exactly as the uncut
+          // DFS charges it.
           on_frontier_(segment_);
           descend = false;
         }
@@ -552,75 +500,7 @@ class SeedDfs {
     return true;
   }
 
-  /// kLearned: one failed-literal probe of side-input gate `gate`
-  /// (currently unknown).  Returns false when both polarities are
-  /// refuted — the engine state at this survivor is unsatisfiable.  A
-  /// single refuted polarity asserts the forced one on the engine
-  /// (strengthening later probes of the same survivor); the caller
-  /// rolls everything back to its mark.
-  bool probe_literal(GateId gate) {
-    const std::size_t mark = engine_.mark();
-    const bool ok0 = engine_.assign(gate, Value3::kZero);
-    engine_.rollback(mark);
-    const bool ok1 = engine_.assign(gate, Value3::kOne);
-    if (!ok1) {
-      engine_.rollback(mark);
-      if (!ok0) return false;
-      ++learned_assignments_;
-      engine_.assign(gate, Value3::kZero);
-      return true;
-    }
-    if (!ok0) {
-      ++learned_assignments_;  // gate = 1 already holds on the engine
-      return true;
-    }
-    engine_.rollback(mark);
-    return true;
-  }
-
-  /// kLearned: probes the unknown side inputs along the recorded
-  /// segment.  Returns false when probing proves the survivor's
-  /// constraint set unsatisfiable — the path is truly robust dependent
-  /// (both polarities of some literal refuted by sound implications)
-  /// and is dropped.  Deterministic: the engine state at a survivor is
-  /// thread-count-independent, and all probe state is rolled back
-  /// before returning.
-  bool probe_survivor() {
-    const std::size_t mark = engine_.mark();
-    std::uint64_t probed = 0;
-    bool feasible = true;
-    for (const LeadId lead_id : segment_) {
-      const CompiledLead& lead = compiled_.lead(lead_id);
-      if (!lead.sink_has_ctrl) continue;
-      const SideSpan span = compiled_.side_all_span(lead);
-      for (const GateId* gate = span.begin(); gate != span.end(); ++gate) {
-        if (is_known(engine_.value(*gate))) continue;
-        if (options_.learn_budget != 0 &&
-            probed >= options_.learn_budget) {
-          engine_.rollback(mark);
-          return true;
-        }
-        ++probed;
-        if (!probe_literal(*gate)) {
-          feasible = false;
-          break;
-        }
-      }
-      if (!feasible) break;
-    }
-    engine_.rollback(mark);
-    return feasible;
-  }
-
   void record_survivor() {
-    if (options_.implications == ImplicationTier::kLearned &&
-        !probe_survivor()) {
-      // Refuted before it is counted: no kept_paths increment, no
-      // merge event, no key, no lead tallies — the path joins the
-      // identified RD set.
-      ++learned_dropped_;
-      return;
-    }
     ++outcome_.kept_paths;
     if constexpr (kFrontier) {
       if (on_survivor_) on_survivor_();
@@ -651,21 +531,19 @@ class SeedDfs {
 
   const CompiledCircuit& compiled_;
   const ClassifyOptions& options_;
-  Budget& budget_;
+  SharedBudget& budget_;
   std::vector<std::uint64_t>* lead_counts_;
   ImplicationEngine engine_;
-  std::uint64_t learned_assignments_ = 0;
-  std::uint64_t learned_dropped_ = 0;
 
   std::vector<LeadId> segment_;
   SeedOutcome outcome_;
-  PathKeyArena arena_pool_;
   std::uint64_t max_keys_ = 0;
   bool current_final_pi_value_ = false;
 
-  // Frontier-cut hooks, only exercised by SeedDfs<Budget, true>
-  // (phase 1 of the parallel engine); if constexpr keeps them out of
-  // the plain instantiation's hot loop entirely.
+  // Frontier-cut hooks, only exercised by SeedDfs<true> (phase 1 of
+  // the driver); if constexpr keeps them out of the plain
+  // instantiation's hot loop entirely.  The unbounded default split
+  // depth runs whole seeds.
   std::size_t split_depth_ = std::numeric_limits<std::size_t>::max();
   std::function<void(const std::vector<LeadId>&)> on_frontier_;
   std::function<void()> on_survivor_;

@@ -1,17 +1,19 @@
-// Parallel classification engine: shards the implicit-enumeration DFS
-// at *subtree granularity* over the shared path-prefix tree
-// (DESIGN.md §10) and merges the per-node outcomes in canonical
-// discovery order, so the deterministic ClassifyResult fields are
-// bit-identical to the serial engine at every thread count.
+// The classification driver: runs the implicit-enumeration DFS over
+// the shared path-prefix tree (DESIGN.md §10) on one or more workers
+// and merges the per-node outcomes in canonical discovery order, so
+// the deterministic ClassifyResult fields are bit-identical at every
+// thread count.
 //
 // Two phases:
 //
-//   1. a shallow frontier expansion on the calling thread walks every
-//      seed in canonical order, exactly like the serial DFS, but cuts
-//      each branch at a structurally chosen split depth: a live node
-//      there becomes a work item (the subtree root's lead prefix);
-//      survivors found above the cut and frontier nodes are logged in
-//      one ordered event stream, the serial discovery order;
+//   1. the calling thread walks every seed in canonical order; with
+//      more than one worker it cuts each branch at a structurally
+//      chosen split depth: a live node there becomes a work item (the
+//      subtree root's lead prefix), and survivors found above the cut
+//      and frontier nodes are logged in one ordered event stream, the
+//      uncut discovery order.  With one worker there is no cut: phase
+//      1 is the whole DFS, and no pool, prefix replay or event log is
+//      needed;
 //   2. the work items fan out over the work-stealing pool; a worker
 //      adopting an item replays its prefix charge-free (rollback to
 //      the longest common prefix with the trail it already holds,
@@ -57,8 +59,8 @@ std::uint64_t item_target(std::size_t num_threads) {
 
 }  // namespace
 
-ClassifyResult classify_paths_parallel(const Circuit& circuit,
-                                       const ClassifyOptions& options) {
+ClassifyResult classify_paths(const Circuit& circuit,
+                              const ClassifyOptions& options) {
   Stopwatch watch;
   const std::size_t num_threads =
       ThreadPool::resolve_num_threads(options.num_threads);
@@ -73,23 +75,24 @@ ClassifyResult classify_paths_parallel(const Circuit& circuit,
   const CompiledCircuit& compiled =
       *internal::resolve_compiled(circuit, options, owned_compiled);
 
-  const std::size_t split_depth = choose_split_depth(
-      prefix_tree_widths(circuit, kMaxSplitDepth), item_target(num_threads));
+  // One worker takes no cut: phase 1 runs every seed to the bottom.
+  const bool cut = num_threads > 1;
 
   // Phase 1 runs the frontier-cut instantiation; phase-2 workers run
-  // the plain one (same hot loop as the serial engine).  Outcomes are
-  // the shared internal::SeedOutcome, so the merge mixes them freely.
-  using Dfs = internal::SeedDfs<internal::SharedBudget>;
-  using FrontierDfs = internal::SeedDfs<internal::SharedBudget, true>;
+  // the plain one.  Outcomes are the shared internal::SeedOutcome, so
+  // the merge mixes them freely.
+  using Dfs = internal::SeedDfs<>;
+  using FrontierDfs = internal::SeedDfs<true>;
   internal::SharedBudget::Shared shared_budget(options.work_limit,
                                                options.guard);
 
   // ---- Phase 1: frontier expansion (calling thread) ----
   // One work item = one live prefix-tree node at the split depth; the
-  // prefixes live in one flat pool.  `events` records the serial
+  // prefixes live in one flat pool.  `events` records the uncut
   // discovery order the merge must reproduce: false = a survivor above
   // the cut (the next key of the current seed's arena), true = the
-  // next work item's whole subtree.
+  // next work item's whole subtree.  Without a cut every survivor is
+  // above it, so the stream is not kept.
   struct SubtreeItem {
     std::uint32_t seed = 0;   // canonical seed index
     std::uint32_t begin = 0;  // prefix range into prefix_pool
@@ -111,25 +114,37 @@ ClassifyResult classify_paths_parallel(const Circuit& circuit,
                                                    : nullptr);
   std::uint32_t current_seed = 0;
   std::uint64_t root_work = 0;
-  root_dfs.set_frontier_cut(
-      split_depth,
-      [&](const std::vector<LeadId>& prefix) {
-        items.push_back(
-            SubtreeItem{current_seed,
-                        static_cast<std::uint32_t>(prefix_pool.size()),
-                        static_cast<std::uint32_t>(prefix.size())});
-        prefix_pool.insert(prefix_pool.end(), prefix.begin(), prefix.end());
-        events.push_back(1);
-      },
-      [&] { events.push_back(0); });
+  // Survivors recorded above the cut so far: every one of them precedes
+  // the next seed's keys in discovery order, so that seed can never
+  // contribute more than the remaining collect_paths_limit keys.
+  std::uint64_t root_kept = 0;
+  if (cut) {
+    root_dfs.set_frontier_cut(
+        choose_split_depth(prefix_tree_widths(circuit, kMaxSplitDepth),
+                           item_target(num_threads)),
+        [&](const std::vector<LeadId>& prefix) {
+          items.push_back(
+              SubtreeItem{current_seed,
+                          static_cast<std::uint32_t>(prefix_pool.size()),
+                          static_cast<std::uint32_t>(prefix.size())});
+          prefix_pool.insert(prefix_pool.end(), prefix.begin(),
+                             prefix.end());
+          events.push_back(1);
+        },
+        [&] { events.push_back(0); });
+  }
   std::size_t seeds_expanded = 0;
   try {
     for (; seeds_expanded < seeds.size(); ++seeds_expanded) {
       current_seed = static_cast<std::uint32_t>(seeds_expanded);
+      const std::uint64_t max_keys =
+          options.collect_paths_limit > root_kept
+              ? options.collect_paths_limit - root_kept
+              : 0;
       phase1[seeds_expanded] =
-          root_dfs.run_seed(seeds[seeds_expanded],
-                            options.collect_paths_limit);
+          root_dfs.run_seed(seeds[seeds_expanded], max_keys);
       root_work += phase1[seeds_expanded].work;
+      root_kept += phase1[seeds_expanded].kept_paths;
       event_end[seeds_expanded] = events.size();
       root_budget.flush();
       if (phase1[seeds_expanded].exhausted ||
@@ -198,6 +213,12 @@ ClassifyResult classify_paths_parallel(const Circuit& circuit,
   ClassifyResult result;
   if (options.collect_lead_counts)
     result.kept_controlling_per_lead.assign(circuit.num_leads(), 0);
+  const auto append_keys = [&](const PathKeyArena& keys) {
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      if (result.kept_keys.size() >= options.collect_paths_limit) break;
+      result.kept_keys.push_back(keys.key(k));
+    }
+  };
   std::size_t item_cursor = 0;
   std::size_t event_cursor = 0;
   for (std::size_t s = 0; s < seeds.size(); ++s) {
@@ -205,6 +226,10 @@ ClassifyResult classify_paths_parallel(const Circuit& circuit,
     result.kept_paths += above.kept_paths;
     result.work += above.work;
     if (above.exhausted) result.completed = false;
+    if (!cut) {
+      append_keys(above.keys);
+      continue;
+    }
     std::size_t arena_cursor = 0;
     for (; event_cursor < event_end[s]; ++event_cursor) {
       if (events[event_cursor] == 0) {
@@ -217,10 +242,7 @@ ClassifyResult classify_paths_parallel(const Circuit& circuit,
         result.kept_paths += sub.kept_paths;
         result.work += sub.work;
         if (sub.exhausted) result.completed = false;
-        for (std::size_t k = 0; k < sub.keys.size(); ++k) {
-          if (result.kept_keys.size() >= options.collect_paths_limit) break;
-          result.kept_keys.push_back(sub.keys.key(k));
-        }
+        append_keys(sub.keys);
       }
     }
   }
@@ -240,27 +262,24 @@ ClassifyResult classify_paths_parallel(const Circuit& circuit,
     for (std::size_t lead = 0; lead < state.lead_counts.size(); ++lead)
       result.kept_controlling_per_lead[lead] += state.lead_counts[lead];
   result.implication = root_dfs.implication_stats();
-  result.learned_assignments = root_dfs.learned_assignments();
-  result.learned_dropped = root_dfs.learned_dropped();
-  for (const WorkerState& state : workers) {
-    if (!state.dfs) continue;
-    result.implication.merge(state.dfs->implication_stats());
-    result.learned_assignments += state.dfs->learned_assignments();
-    result.learned_dropped += state.dfs->learned_dropped();
-  }
+  for (const WorkerState& state : workers)
+    if (state.dfs) result.implication.merge(state.dfs->implication_stats());
 
   // The phase-1 expansion runs on the calling thread; its work and
   // steal-free task count are charged to worker slot 0 so the
-  // WorkerStats totals still cover every step of the run.
-  result.worker_stats.resize(num_threads);
-  for (std::size_t w = 0; w < num_threads; ++w) {
-    result.worker_stats[w].seeds = pool_stats[w].tasks;
-    result.worker_stats[w].steals = pool_stats[w].steals;
-    result.worker_stats[w].busy_seconds = pool_stats[w].busy_seconds;
-    result.worker_stats[w].work = workers[w].work;
+  // WorkerStats totals still cover every step of the run.  A one-worker
+  // run has nothing to account per worker.
+  if (cut) {
+    result.worker_stats.resize(num_threads);
+    for (std::size_t w = 0; w < num_threads; ++w) {
+      result.worker_stats[w].seeds = pool_stats[w].tasks;
+      result.worker_stats[w].steals = pool_stats[w].steals;
+      result.worker_stats[w].busy_seconds = pool_stats[w].busy_seconds;
+      result.worker_stats[w].work = workers[w].work;
+    }
+    result.worker_stats[0].seeds += seeds.size();
+    result.worker_stats[0].work += root_work;
   }
-  result.worker_stats[0].seeds += seeds.size();
-  result.worker_stats[0].work += root_work;
 
   internal::finish_classify_result(circuit, &result);
   result.wall_seconds = watch.elapsed_seconds();

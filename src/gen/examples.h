@@ -26,9 +26,10 @@ Circuit c17();
 /// (c+d)(c'+d)(c+d')(c'+d') through four OR side inputs, yet the
 /// ternary drain never sees a conflict (no single literal is forced).
 /// One further lead exposes c itself as an unconstrained side input,
-/// so failed-literal probing (--implications=learned) case-splits on
-/// c, refutes both polarities, and drops the path — the exact FS
-/// engine agrees it is robust dependent.
+/// so a case split on c would refute both polarities; the exact FS
+/// engine confirms the path is robust dependent.  It is the fixture
+/// for the gap between the local-implication kept set and the exact
+/// one.
 Circuit unsat_side_constraint_circuit();
 
 }  // namespace rd

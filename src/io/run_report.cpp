@@ -79,14 +79,6 @@ JsonValue classify_result_json(const ClassifyResult& result) {
   out.set("work", JsonValue::number(result.work));
   out.set("wall_seconds", JsonValue::number(result.wall_seconds));
   out.set("implication", implication_json(result.implication));
-  // Optional, additive (no schema bump): present only when the learned
-  // implication tier forced or dropped anything.
-  if (result.learned_assignments != 0 || result.learned_dropped != 0) {
-    JsonValue learned = JsonValue::object();
-    learned.set("assignments", JsonValue::number(result.learned_assignments));
-    learned.set("dropped", JsonValue::number(result.learned_dropped));
-    out.set("learned", std::move(learned));
-  }
   if (!result.worker_stats.empty()) {
     JsonValue workers = JsonValue::array();
     for (const ClassifyWorkerStats& stats : result.worker_stats) {
@@ -302,7 +294,7 @@ void validate_abort_reason(const JsonValue& object, const char* context,
 }
 
 /// A required numeric key of a report sub-object (the "eco" and
-/// "eco.recovery" counters, "classify.learned", "serve.cone_cache").
+/// "eco.recovery" counters, "serve.cone_cache").
 void require_counter(const JsonValue& object, const char* owner,
                      const char* key, std::vector<std::string>& problems) {
   const JsonValue* value = object.find(key);
@@ -337,16 +329,6 @@ void validate_classify_payload(const JsonValue& report,
     const JsonValue* rd_paths = classify->find("rd_paths");
     if (rd_paths != nullptr && rd_paths->is_null())
       problems.push_back("completed run has null \"rd_paths\"");
-  }
-  // Optional "learned" object (learned implication tier counters).
-  const JsonValue* learned = classify->find("learned");
-  if (learned != nullptr) {
-    if (!learned->is_object()) {
-      problems.push_back("\"classify.learned\" is not an object");
-    } else {
-      for (const char* key : {"assignments", "dropped"})
-        require_counter(*learned, "classify.learned", key, problems);
-    }
   }
 }
 

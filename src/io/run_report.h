@@ -55,10 +55,6 @@ namespace rd {
 /// object inside "serve" payloads, and optional "cache_evictions" /
 /// "cache_failures" counters there (the CircuitCache verdict beyond
 /// plain hit/miss).
-/// Further v2 addition (no bump): an optional "learned" object inside
-/// classify payloads ({"assignments", "dropped"} — the learned
-/// implication tier's probe counters), written only when that tier
-/// forced or dropped anything.
 inline constexpr std::uint64_t kRunReportSchemaVersion = 2;
 
 /// The shared envelope: {"schema_version": N, "kind": kind}.

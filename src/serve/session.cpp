@@ -1,6 +1,7 @@
 #include "serve/session.h"
 
 #include <exception>
+#include <initializer_list>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "gen/iscas_like.h"
 #include "io/bench_io.h"
 #include "io/run_report.h"
+#include "paths/counting.h"
 #include "util/metrics.h"
 
 namespace rd::serve {
@@ -25,6 +27,19 @@ namespace {
 struct BadRequest : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
+
+/// Rejects any key of `object` outside `allowed`, naming the first
+/// unknown one (prefixed with `owner` for nested objects), so a typo
+/// such as "work_limt" is a bad request instead of a silent default.
+void require_known_keys(const JsonValue& object, std::string_view owner,
+                        std::initializer_list<std::string_view> allowed) {
+  for (const auto& [key, value] : object.members()) {
+    bool known = false;
+    for (std::string_view name : allowed) known = known || key == name;
+    if (!known)
+      throw BadRequest("unknown field '" + std::string(owner) + key + "'");
+  }
+}
 
 std::uint64_t get_uint(const JsonValue& request, std::string_view key,
                        std::uint64_t fallback) {
@@ -83,6 +98,7 @@ void resolve_circuit(const JsonValue& request, std::string* name,
   const JsonValue* circuit = request.find("circuit");
   if (circuit == nullptr || !circuit->is_object())
     throw BadRequest("field 'circuit' must be an object");
+  require_known_keys(*circuit, "circuit.", {"builtin", "bench", "name"});
   const JsonValue* builtin = circuit->find("builtin");
   if (builtin != nullptr) {
     if (!builtin->is_string())
@@ -132,6 +148,9 @@ struct GuardSpec {
     if (guard == nullptr) return spec;
     if (!guard->is_object())
       throw BadRequest("field 'guard' must be an object");
+    require_known_keys(*guard, "guard.",
+                       {"deadline_ms", "max_memory_mb", "inject_abort_after",
+                        "inject_abort_reason"});
     spec.deadline_ms = get_nonneg_double(*guard, "deadline_ms", 0.0);
     spec.max_memory_mb = get_uint(*guard, "max_memory_mb", 0);
     spec.inject_abort_after = get_uint(*guard, "inject_abort_after", 0);
@@ -185,6 +204,22 @@ JsonValue serve_payload(std::uint64_t id, bool has_id, bool cache_hit,
   return payload;
 }
 
+/// The classify outcome of a cache build aborted under the request's
+/// own budget: like any aborted run, it carries the structural path
+/// total and no RD verdicts.
+ClassifyResult aborted_build(const std::string& bench_text,
+                             const std::string& name,
+                             const std::function<Circuit()>& generator,
+                             AbortReason reason) {
+  ClassifyResult result;
+  result.completed = false;
+  result.abort_reason = reason;
+  const Circuit circuit =
+      generator ? generator() : read_bench_string(bench_text, name);
+  result.total_logical = PathCounts(circuit).total_logical();
+  return result;
+}
+
 std::string heuristic_spec(const JsonValue& request) {
   const std::string heuristic = get_string(request, "heuristic", "2");
   if (heuristic != "1" && heuristic != "2" && heuristic != "inverse" &&
@@ -219,6 +254,19 @@ RequestOutcome Session::handle(const std::string& request_text) {
     }
     const std::string op = get_string(request, "op", "");
     if (op.empty()) throw BadRequest("field 'op' must name an operation");
+
+    if (op == "ping" || op == "shutdown" || op == "stats")
+      require_known_keys(request, "", {"id", "op"});
+    else if (op == "validate")
+      require_known_keys(request, "", {"id", "op", "report"});
+    else if (op == "classify")
+      require_known_keys(request, "",
+                         {"id", "op", "circuit", "heuristic", "work_limit",
+                          "threads", "incremental", "guard"});
+    else if (op == "atpg")
+      require_known_keys(request, "",
+                         {"id", "op", "circuit", "max_paths", "threads",
+                          "guard"});
 
     if (op == "ping") {
       outcome.response = serve_ack_report(id, has_id);
@@ -310,14 +358,6 @@ JsonValue Session::run_classify(const JsonValue& request, std::uint64_t id,
   base.work_limit = get_uint(request, "work_limit", base.work_limit);
   base.num_threads = static_cast<std::size_t>(
       get_uint(request, "threads", base.num_threads));
-  if (request.find("lanes") != nullptr)
-    throw BadRequest("field 'lanes' is not supported (no lane engine)");
-  const std::string implications = get_string(request, "implications", "off");
-  if (implications == "learned") {
-    base.implications = ImplicationTier::kLearned;
-  } else if (implications != "off") {
-    throw BadRequest("field 'implications' must be off or learned");
-  }
 
   const GuardSpec guard_spec = GuardSpec::from_request(request);
   ExecGuard guard(guard_spec.options(config_.cancel));
@@ -329,10 +369,6 @@ JsonValue Session::run_classify(const JsonValue& request, std::uint64_t id,
     // reuse lives at cone granularity in the shared ConeCacheStore,
     // which survives across requests (and daemon restarts when the
     // server persists it).
-    if (base.implications == ImplicationTier::kLearned)
-      throw BadRequest(
-          "'implications': 'learned' does not compose with incremental mode "
-          "(learned kept sets would poison cached cone records)");
     Circuit circuit;
     try {
       circuit = generator ? generator() : read_bench_string(bench_text, name);
@@ -390,8 +426,8 @@ JsonValue Session::run_classify(const JsonValue& request, std::uint64_t id,
     // Build aborted under this request's own budget: report it like
     // any aborted run — typed reason, schema-valid partial report.
     RdIdentification rd;
-    rd.classify.completed = false;
-    rd.classify.abort_reason = tripped.reason();
+    rd.classify =
+        aborted_build(bench_text, name, generator, tripped.reason());
     MetricsRegistry metrics;
     record_classify_metrics(rd.classify, metrics);
     JsonValue report =
@@ -460,8 +496,8 @@ JsonValue Session::run_atpg(const JsonValue& request, std::uint64_t id,
     entry = cache.get(bench_text, name, "2", build, &cache_hit, generator);
   } catch (const GuardTrippedError& tripped) {
     RdIdentification rd;
-    rd.classify.completed = false;
-    rd.classify.abort_reason = tripped.reason();
+    rd.classify =
+        aborted_build(bench_text, name, generator, tripped.reason());
     GeneratedTestSet never_ran;
     never_ran.completed = false;
     never_ran.abort_reason = tripped.reason();

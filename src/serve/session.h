@@ -23,14 +23,14 @@
 //   classify:  "circuit": {"builtin": "c432"} | {"name": N, "bench": T},
 //              "heuristic": "1"|"2"|"inverse"|"fus" (default "2"),
 //              "work_limit", "threads" (uints, optional),
-//              "implications": "off"|"learned" (default "off"; a
-//                             "lanes" field is refused as bad_request),
 //              "incremental": bool (optional — cone-cached ECO mode;
 //                             the response carries an "eco" block and
 //                             per-request serve.cone_cache counters),
 //              "guard": {"deadline_ms", "max_memory_mb",
 //                        "inject_abort_after", "inject_abort_reason"}
 //   atpg:      circuit/threads/guard as classify, plus "max_paths"
+// Any other key, at the top level or inside "circuit" or "guard", is a
+// bad_request naming it.
 //
 // handle() never throws: malformed input becomes a "serve_error" frame
 // with a stable machine code, and a guard abort becomes the same

@@ -173,7 +173,7 @@ class ImplicationEngine {
   /// *was* physically executed but is logically cached — a thief
   /// replaying an already-charged path-tree prefix keeps the state the
   /// replay built while the charge stream stays bit-identical to the
-  /// serial engine, which established that prefix exactly once.
+  /// uncut DFS, which established that prefix exactly once.
   void restore_stats(const ImplicationStats& snapshot) { stats_ = snapshot; }
 
   const CompiledCircuit& compiled() const { return *compiled_; }

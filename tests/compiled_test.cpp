@@ -7,9 +7,9 @@
 //     bit-identical values + event counters against the frozen
 //     pre-compilation engine (support/implication_reference.h) under
 //     randomized assign/undo driving;
-//   * classification — the compiled serial and parallel engines must
-//     match classify_paths_reference on every deterministic field,
-//     across a generator corpus, all criteria and 1/2/4 threads;
+//   * classification — classify_paths must match
+//     classify_paths_reference on every deterministic field, across a
+//     generator corpus, all criteria and 1/2/4 threads;
 //   * guard striding — batching ExecGuard polls must not change the
 //     first-trip AbortReason, the exactness of the guard's work
 //     accounting, or the determinism of partial counts.
@@ -295,13 +295,9 @@ TEST(ClassifyBitIdentityTest, CompiledMatchesReferenceAcrossThreads) {
 
       const ClassifyResult reference =
           classify_paths_reference(circuit, options);
-      const ClassifyResult serial = classify_paths_serial(circuit, options);
-      ASSERT_TRUE(deterministic_fields_equal(reference, serial))
-          << circuit.name() << " criterion " << static_cast<int>(criterion);
       for (std::size_t threads : {1u, 2u, 4u}) {
         options.num_threads = threads;
-        const ClassifyResult parallel =
-            classify_paths_parallel(circuit, options);
+        const ClassifyResult parallel = classify_paths(circuit, options);
         ASSERT_TRUE(deterministic_fields_equal(reference, parallel))
             << circuit.name() << " criterion "
             << static_cast<int>(criterion) << " threads " << threads;
@@ -311,17 +307,24 @@ TEST(ClassifyBitIdentityTest, CompiledMatchesReferenceAcrossThreads) {
 }
 
 TEST(ClassifyBitIdentityTest, WorkLimitAbortsIdentically) {
-  // The work_limit verdict is part of the deterministic contract; the
-  // compiled engine must stop after the same extension step.
+  // The work_limit verdict is part of the deterministic contract; one
+  // worker must stop after the same extension step as the reference,
+  // and more workers must reach the same verdict.
   const Circuit circuit = iscas_like(2);
   ClassifyOptions options;
   options.work_limit = 37;
   const ClassifyResult reference =
       classify_paths_reference(circuit, options);
-  const ClassifyResult serial = classify_paths_serial(circuit, options);
+  const ClassifyResult serial = classify_paths(circuit, options);
   EXPECT_FALSE(serial.completed);
   EXPECT_EQ(serial.abort_reason, AbortReason::kWorkBudget);
   ASSERT_TRUE(deterministic_fields_equal(reference, serial));
+  for (std::size_t threads : {2u, 4u}) {
+    options.num_threads = threads;
+    const ClassifyResult parallel = classify_paths(circuit, options);
+    EXPECT_FALSE(parallel.completed) << threads;
+    EXPECT_EQ(parallel.abort_reason, AbortReason::kWorkBudget) << threads;
+  }
 }
 
 // ------------------------------------------------- guard striding
@@ -332,10 +335,10 @@ TEST(GuardStridingTest, UntrippedGuardChargesExactWorkTotal) {
   // accounting, and the results are bit-identical to a guard-free run.
   const Circuit circuit = iscas_like(1);
   ClassifyOptions options;
-  const ClassifyResult bare = classify_paths_serial(circuit, options);
+  const ClassifyResult bare = classify_paths(circuit, options);
   ExecGuard guard;
   options.guard = &guard;
-  const ClassifyResult guarded = classify_paths_serial(circuit, options);
+  const ClassifyResult guarded = classify_paths(circuit, options);
   ASSERT_TRUE(deterministic_fields_equal(bare, guarded));
   EXPECT_TRUE(guarded.completed);
   EXPECT_EQ(guard.work_used(), guarded.work);
@@ -349,7 +352,7 @@ TEST(GuardStridingTest, GuardWorkCeilingTripsWithFirstTripReason) {
   ExecGuard guard(guard_options);
   ClassifyOptions options;
   options.guard = &guard;
-  const ClassifyResult result = classify_paths_serial(circuit, options);
+  const ClassifyResult result = classify_paths(circuit, options);
   EXPECT_FALSE(result.completed);
   EXPECT_EQ(result.abort_reason, AbortReason::kWorkBudget);
   EXPECT_EQ(guard.reason(), AbortReason::kWorkBudget);
@@ -361,7 +364,7 @@ TEST(GuardStridingTest, GuardWorkCeilingTripsWithFirstTripReason) {
 
 TEST(GuardStridingTest, InjectedTripIsDeterministicAcrossReruns) {
   // Deterministic fault injection fires inside the Nth guard poll; the
-  // serial engine's partial counts at that abort point must be
+  // one-worker run's partial counts at that abort point must be
   // reproducible run over run (the poll schedule is a pure function of
   // the step stream), and the first-trip reason must surface verbatim.
   const Circuit circuit = iscas_like(4);
@@ -371,7 +374,7 @@ TEST(GuardStridingTest, InjectedTripIsDeterministicAcrossReruns) {
     guard.inject_trip_at(3, AbortReason::kDeadline);
     ClassifyOptions options;
     options.guard = &guard;
-    const ClassifyResult result = classify_paths_serial(circuit, options);
+    const ClassifyResult result = classify_paths(circuit, options);
     EXPECT_FALSE(result.completed);
     EXPECT_EQ(result.abort_reason, AbortReason::kDeadline);
     EXPECT_EQ(guard.reason(), AbortReason::kDeadline);
@@ -387,7 +390,7 @@ TEST(GuardStridingTest, InjectedTripIsDeterministicAcrossReruns) {
   late_guard.inject_trip_at(5, AbortReason::kDeadline);
   ClassifyOptions options;
   options.guard = &late_guard;
-  const ClassifyResult late = classify_paths_serial(circuit, options);
+  const ClassifyResult late = classify_paths(circuit, options);
   EXPECT_FALSE(late.completed);
   EXPECT_GT(late.work, first.work);
 }

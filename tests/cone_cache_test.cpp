@@ -69,7 +69,10 @@ std::vector<std::uint8_t> read_bytes(const std::string& path) {
 void write_bytes(const std::string& path, const std::vector<std::uint8_t>& bytes) {
   std::FILE* file = std::fopen(path.c_str(), "wb");
   ASSERT_NE(file, nullptr) << path;
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
+  // An empty vector's data() may be null, which fwrite must not see.
+  if (!bytes.empty()) {
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
+  }
   std::fclose(file);
 }
 

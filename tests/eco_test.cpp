@@ -278,12 +278,6 @@ TEST(Eco, RejectsUnsupportedOptionCombinations) {
     options.base.sort = &sort;
     EXPECT_THROW(classify_eco(circuit, store, options), std::invalid_argument);
   }
-  {
-    // Learned kept sets would poison cached cone records.
-    EcoOptions options;
-    options.base.implications = ImplicationTier::kLearned;
-    EXPECT_THROW(classify_eco(circuit, store, options), std::invalid_argument);
-  }
 }
 
 // The per-cone closure build is gone (DESIGN.md §11); what a cone still

@@ -409,7 +409,7 @@ bool deterministic_fields_equal(const ClassifyResult& a,
 TEST(LaneDegeneracyTest, LanedClassifyMatchesScalarOnStarvedTrees) {
   // Circuits whose prefix trees leave the parallel engine almost
   // nothing to split: a single-fanout chain, the tiny classics, and a
-  // small random circuit.  Serial, parallel and reference must agree.
+  // small random circuit.  Every thread count must match the reference.
   std::vector<Circuit> corpus;
   {
     Circuit chain("chain");
@@ -430,14 +430,11 @@ TEST(LaneDegeneracyTest, LanedClassifyMatchesScalarOnStarvedTrees) {
     options.collect_lead_counts = true;
     options.collect_paths_limit = 64;
     const ClassifyResult reference = classify_paths_reference(circuit, options);
-    const ClassifyResult serial = classify_paths_serial(circuit, options);
-    ASSERT_TRUE(serial.completed) << circuit.name();
-    ASSERT_TRUE(deterministic_fields_equal(reference, serial))
-        << circuit.name();
-    for (std::size_t threads : {2u, 3u, 4u}) {
+    ASSERT_TRUE(reference.completed) << circuit.name();
+    for (std::size_t threads : {1u, 2u, 3u, 4u}) {
       options.num_threads = threads;
-      const ClassifyResult parallel = classify_paths_parallel(circuit, options);
-      ASSERT_TRUE(deterministic_fields_equal(serial, parallel))
+      const ClassifyResult run = classify_paths(circuit, options);
+      ASSERT_TRUE(deterministic_fields_equal(reference, run))
           << circuit.name() << " threads " << threads;
     }
   }
@@ -611,23 +608,23 @@ TEST(ClosureEngine, AttachRejectsMismatchedClosure) {
   options.collect_paths_limit = 256;
   options.compiled = &compiled;
 
-  EXPECT_THROW(classify_paths_serial(twin, options), std::invalid_argument);
+  EXPECT_THROW(classify_paths(twin, options), std::invalid_argument);
   options.num_threads = 2;
-  EXPECT_THROW(classify_paths_parallel(twin, options), std::invalid_argument);
+  EXPECT_THROW(classify_paths(twin, options), std::invalid_argument);
   options.num_threads = 1;
 
   const InputSort sort = heuristic1_sort(circuit);
   ClassifyOptions sorted = options;
   sorted.criterion = Criterion::kInputSort;
   sorted.sort = &sort;
-  EXPECT_THROW(classify_paths_serial(circuit, sorted), std::invalid_argument);
+  EXPECT_THROW(classify_paths(circuit, sorted), std::invalid_argument);
 
   // The matching view is accepted and changes nothing.
   ClassifyOptions private_compile = options;
   private_compile.compiled = nullptr;
   EXPECT_TRUE(deterministic_fields_equal(
-      classify_paths_serial(circuit, private_compile),
-      classify_paths_serial(circuit, options)));
+      classify_paths(circuit, private_compile),
+      classify_paths(circuit, options)));
 }
 
 TEST(ClosureEngine, DifferentialSweepMatchesScalarDrain) {

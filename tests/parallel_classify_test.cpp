@@ -1,9 +1,10 @@
-// Determinism test harness for the parallel classification engine.
+// Determinism test harness for the classification driver.
 //
-// The parallel engine shards the classification DFS by seed and merges
-// per-seed outcomes in canonical seed order, so every deterministic
-// ClassifyResult field must be *bit-identical* to the serial engine at
-// any thread count.  This harness checks that differentially across
+// classify_paths shards the classification DFS over subtrees and
+// merges their outcomes in canonical discovery order, so every
+// deterministic ClassifyResult field must be *bit-identical* to the
+// frozen serial reference (classify_paths_reference) at any thread
+// count.  This harness checks that differentially across
 // generated ISCAS-like and (synthesized) PLA-like circuits, all three
 // sensitization criteria and thread counts {1, 2, 4, 8}; pins golden
 // counts for the checked-in data/ circuits so a merge-order bug fails
@@ -24,6 +25,7 @@
 #include "gen/iscas_like.h"
 #include "gen/pla_like.h"
 #include "io/bench_io.h"
+#include "support/classify_reference.h"
 #include "synth/synth.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -88,16 +90,16 @@ TEST(ParallelClassify, BitIdenticalToSerialAcrossThreadCounts) {
       options.sort = criterion == Criterion::kInputSort ? &sort : nullptr;
       options.collect_lead_counts = true;
       options.collect_paths_limit = 1u << 14;
-      const ClassifyResult serial = classify_paths_serial(circuit, options);
+      const ClassifyResult serial =
+          classify_paths_reference(circuit, options);
       for (std::size_t threads : kThreadCounts) {
         options.num_threads = threads;
-        const ClassifyResult parallel =
-            classify_paths_parallel(circuit, options);
+        const ClassifyResult parallel = classify_paths(circuit, options);
         expect_identical(serial, parallel,
                          circuit.name() + " criterion " +
                              std::to_string(static_cast<int>(criterion)) +
                              " threads " + std::to_string(threads));
-        EXPECT_EQ(parallel.worker_stats.size(), threads);
+        EXPECT_EQ(parallel.worker_stats.size(), threads == 1 ? 0 : threads);
       }
     }
   }
@@ -105,16 +107,16 @@ TEST(ParallelClassify, BitIdenticalToSerialAcrossThreadCounts) {
 
 TEST(ParallelClassify, KeptKeyTruncationMatchesSerialOrder) {
   // A collect_paths_limit smaller than the survivor count forces the
-  // parallel merge to truncate mid-stream; the surviving prefix must be
-  // the serial DFS discovery order, not a completion order.
+  // merge to truncate mid-stream; the surviving prefix must be the
+  // serial DFS discovery order, not a completion order.
   for (const Circuit& circuit : differential_circuits()) {
     ClassifyOptions options;
     options.criterion = Criterion::kFunctionalSensitizable;
     options.collect_paths_limit = 7;
-    const ClassifyResult serial = classify_paths_serial(circuit, options);
+    const ClassifyResult serial = classify_paths_reference(circuit, options);
     for (std::size_t threads : kThreadCounts) {
       options.num_threads = threads;
-      const ClassifyResult parallel = classify_paths_parallel(circuit, options);
+      const ClassifyResult parallel = classify_paths(circuit, options);
       EXPECT_EQ(serial.kept_keys, parallel.kept_keys)
           << circuit.name() << " threads " << threads;
     }
@@ -129,9 +131,9 @@ TEST(ParallelClassify, RepeatedParallelRunsAreIdentical) {
   options.collect_lead_counts = true;
   options.collect_paths_limit = 1u << 14;
   options.num_threads = 4;
-  const ClassifyResult first = classify_paths_parallel(circuit, options);
+  const ClassifyResult first = classify_paths(circuit, options);
   for (int run = 0; run < 3; ++run) {
-    const ClassifyResult again = classify_paths_parallel(circuit, options);
+    const ClassifyResult again = classify_paths(circuit, options);
     expect_identical(first, again, "repeat run " + std::to_string(run));
   }
 }
@@ -179,8 +181,8 @@ struct Golden {
 };
 
 TEST(ParallelClassify, GoldenCountsOnDataCircuits) {
-  // Pinned from the serial engine; any merge-order or sharding bug in
-  // either engine fails this loudly.  data/c17.bench has no RD paths
+  // Pinned from the serial reference; any merge-order or sharding bug
+  // fails this loudly.  data/c17.bench has no RD paths
   // (all 22 logical paths survive every criterion); the paper's example
   // keeps 5 of 8 under the non-robust criterion.
   const Golden goldens[] = {
@@ -203,7 +205,7 @@ TEST(ParallelClassify, GoldenCountsOnDataCircuits) {
         std::string(golden.path) + " criterion " +
         std::to_string(static_cast<int>(golden.criterion));
 
-    const ClassifyResult serial = classify_paths_serial(circuit, options);
+    const ClassifyResult serial = classify_paths_reference(circuit, options);
     EXPECT_TRUE(serial.completed) << label;
     EXPECT_EQ(serial.kept_paths, golden.kept) << label;
     EXPECT_EQ(serial.rd_paths.to_decimal(), golden.rd) << label;
@@ -212,7 +214,7 @@ TEST(ParallelClassify, GoldenCountsOnDataCircuits) {
 
     for (std::size_t threads : kThreadCounts) {
       options.num_threads = threads;
-      const ClassifyResult parallel = classify_paths_parallel(circuit, options);
+      const ClassifyResult parallel = classify_paths(circuit, options);
       EXPECT_TRUE(parallel.completed) << label;
       EXPECT_EQ(parallel.kept_paths, golden.kept)
           << label << " threads " << threads;
@@ -239,7 +241,7 @@ TEST(ParallelClassify, WorkLimitAbortsAllEngines) {
   ClassifyOptions options;
   options.criterion = Criterion::kFunctionalSensitizable;
   options.work_limit = 25;  // far below the circuit's full DFS work
-  const ClassifyResult serial = classify_paths_serial(circuit, options);
+  const ClassifyResult serial = classify_paths_reference(circuit, options);
   ASSERT_FALSE(serial.completed);
   // Aborted runs leave the rd_* fields unpopulated.
   EXPECT_EQ(serial.rd_paths, BigUint(0));
@@ -247,7 +249,9 @@ TEST(ParallelClassify, WorkLimitAbortsAllEngines) {
 
   for (std::size_t threads : kThreadCounts) {
     options.num_threads = threads;
-    const ClassifyResult parallel = classify_paths_parallel(circuit, options);
+    const ClassifyResult parallel = classify_paths(circuit, options);
+    // One worker stops at exactly the reference's step.
+    if (threads == 1) expect_identical(serial, parallel, "one worker");
     EXPECT_FALSE(parallel.completed) << threads;
     EXPECT_EQ(parallel.rd_paths, BigUint(0)) << threads;
     // Cooperative cancellation: every worker stops within one flush
@@ -258,21 +262,22 @@ TEST(ParallelClassify, WorkLimitAbortsAllEngines) {
 }
 
 TEST(ParallelClassify, WorkLimitBoundaryIsExact) {
-  // completed must flip exactly at the full DFS step count, for both
-  // engines: the verdict depends only on the thread-count-independent
-  // work total.
+  // completed must flip exactly at the full DFS step count, for the
+  // reference and every thread count: the verdict depends only on the
+  // thread-count-independent work total.
   const Circuit circuit = c17();
   ClassifyOptions options;
   options.criterion = Criterion::kFunctionalSensitizable;
-  const std::uint64_t full_work = classify_paths_serial(circuit, options).work;
+  const std::uint64_t full_work =
+      classify_paths_reference(circuit, options).work;
   ASSERT_GT(full_work, 0u);
 
   for (const bool enough : {true, false}) {
     options.work_limit = enough ? full_work : full_work - 1;
-    EXPECT_EQ(classify_paths_serial(circuit, options).completed, enough);
+    EXPECT_EQ(classify_paths_reference(circuit, options).completed, enough);
     for (std::size_t threads : kThreadCounts) {
       options.num_threads = threads;
-      EXPECT_EQ(classify_paths_parallel(circuit, options).completed, enough)
+      EXPECT_EQ(classify_paths(circuit, options).completed, enough)
           << "limit " << options.work_limit << " threads " << threads;
     }
   }
@@ -357,7 +362,7 @@ TEST(ParallelClassify, UntrippedGuardBitIdenticalToNoGuard) {
     options.criterion = Criterion::kFunctionalSensitizable;
     options.collect_lead_counts = true;
     options.collect_paths_limit = 1u << 14;
-    const ClassifyResult baseline = classify_paths_serial(circuit, options);
+    const ClassifyResult baseline = classify_paths_reference(circuit, options);
     for (std::size_t threads : {1u, 2u, 4u}) {
       ExecGuard guard;  // no ceilings
       options.num_threads = threads;

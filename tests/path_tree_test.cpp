@@ -1,7 +1,7 @@
 // Path-prefix-tree layer: the carry-mesh deep generator's closed-form
 // structural counts, the prefix-tree width/split machinery, the pooled
 // key arena, the engine's checkpoint/rollback primitives, and the
-// subtree-sharded parallel classifier under mid-subtree aborts.
+// subtree-sharded classifier under mid-subtree aborts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +13,7 @@
 #include "paths/path.h"
 #include "paths/prefix_tree.h"
 #include "sim/implication.h"
+#include "support/classify_reference.h"
 #include "util/biguint.h"
 #include "util/exec_guard.h"
 
@@ -188,7 +189,7 @@ TEST(Checkpoint, RollbackRestoresStateAndDisownsCharges) {
   EXPECT_EQ(engine.value(circuit.inputs()[1]), Value3::kZero);
 }
 
-// ---- deep-mesh classification: serial / parallel / aborts ------------------
+// ---- deep-mesh classification: thread counts and aborts -------------------
 
 ClassifyOptions mesh_options(std::size_t threads) {
   ClassifyOptions options;
@@ -205,22 +206,21 @@ TEST(PathTreeClassify, MidSubtreeWorkLimitVerdictIsThreadInvariant) {
   profile.depth = 8;
   const Circuit circuit = make_carry_mesh(profile);
   const std::uint64_t full_work =
-      classify_paths_serial(circuit, mesh_options(1)).work;
+      classify_paths_reference(circuit, mesh_options(1)).work;
   ASSERT_GT(full_work, 64u);
 
   // Limits landing inside phase-2 subtrees: the completed verdict and
-  // typed reason must match the serial engine at every thread count
+  // typed reason must match the serial reference at every thread count
   // (partial counts at the abort point are legitimately unordered).
   for (const std::uint64_t limit :
        {full_work / 2, full_work - 1, full_work}) {
     ClassifyOptions options = mesh_options(1);
     options.work_limit = limit;
-    const ClassifyResult serial = classify_paths_serial(circuit, options);
+    const ClassifyResult serial = classify_paths_reference(circuit, options);
     ASSERT_EQ(serial.completed, limit >= full_work);
     for (const std::size_t threads : {1u, 2u, 4u}) {
       options.num_threads = threads;
-      const ClassifyResult parallel =
-          classify_paths_parallel(circuit, options);
+      const ClassifyResult parallel = classify_paths(circuit, options);
       EXPECT_EQ(parallel.completed, serial.completed)
           << "limit " << limit << " threads " << threads;
       EXPECT_EQ(parallel.abort_reason, serial.abort_reason);
@@ -233,16 +233,23 @@ TEST(PathTreeClassify, InjectedGuardTripMidSubtreeIsTyped) {
   profile.width = 3;
   profile.depth = 8;
   const Circuit circuit = make_carry_mesh(profile);
+  // One worker polls the guard only at seed boundaries and every 512
+  // steps; trip it halfway through its checks, inside the DFS.
+  ExecGuard counter;
+  ClassifyOptions counted = mesh_options(1);
+  counted.guard = &counter;
+  ASSERT_TRUE(classify_paths(circuit, counted).completed);
+  ASSERT_GE(counter.checks(), 2u);
   for (const std::size_t threads : {1u, 2u, 4u}) {
     ExecGuard guard;
-    // Trips well past phase 1's seed boundaries: the failing check
-    // lands inside a stolen subtree on a pool worker.
-    guard.inject_at_check(20, [] {
+    // With a pool it trips well past phase 1's seed boundaries: the
+    // failing check lands inside a stolen subtree on a pool worker.
+    guard.inject_at_check(threads == 1 ? counter.checks() / 2 : 20, [] {
       throw GuardTrippedError(AbortReason::kMemory);
     });
     ClassifyOptions options = mesh_options(threads);
     options.guard = &guard;
-    const ClassifyResult result = classify_paths_parallel(circuit, options);
+    const ClassifyResult result = classify_paths(circuit, options);
     EXPECT_FALSE(result.completed) << "threads " << threads;
     EXPECT_EQ(result.abort_reason, AbortReason::kMemory);
   }

@@ -456,68 +456,47 @@ TEST(RunReportValidate, RejectsMalformedEcoBlock) {
                           "\"eco.recovery.torn_tmp\" is not a number"));
 }
 
-// The learned-tier counters used to ride in a classify.closure block;
-// with the closure tier removed (DESIGN.md §11) they live in the
-// optional classify.learned block, and no report carries a closure
-// block or closure.* metrics.
+// The closure tier (DESIGN.md §11) and then the learned tier (§14)
+// each carried counters in an optional classify block; both are gone,
+// so no report carries a closure or learned block, nor their metrics.
 TEST(RunReport, ClosureBlockConformsToSchemaAndFeedsMetrics) {
-  RdIdentification rd = classify_c17();
-  rd.classify.learned_assignments = 5;
-  rd.classify.learned_dropped = 2;
-  const JsonValue report = round_trip(classify_run_report("c17", "1", rd));
-  EXPECT_TRUE(validate_run_report(report).empty());
-  const JsonValue* learned = report.find("classify")->find("learned");
-  ASSERT_NE(learned, nullptr);
-  EXPECT_EQ(learned->find("assignments")->as_uint64(), 5u);
-  EXPECT_EQ(learned->find("dropped")->as_uint64(), 2u);
-  EXPECT_EQ(report.find("classify")->find("closure"), nullptr);
-
+  const RdIdentification rd = classify_c17();
   MetricsRegistry metrics;
   record_classify_metrics(rd.classify, metrics);
-  const JsonValue with_metrics =
+  const JsonValue report =
       round_trip(classify_run_report("c17", "1", rd, &metrics));
-  EXPECT_TRUE(validate_run_report(with_metrics).empty());
-  const JsonValue* counters = with_metrics.find("metrics")->find("counters");
+  EXPECT_TRUE(validate_run_report(report).empty());
+  EXPECT_EQ(report.find("classify")->find("closure"), nullptr);
+  EXPECT_EQ(report.find("classify")->find("learned"), nullptr);
+  const JsonValue* counters = report.find("metrics")->find("counters");
   ASSERT_NE(counters, nullptr);
-  for (const auto& [name, value] : counters->members())
+  for (const auto& [name, value] : counters->members()) {
     EXPECT_NE(name.rfind("closure.", 0), 0u) << name;
-
-  // A run that never used the learned tier carries no learned block.
-  const JsonValue plain = round_trip(classify_run_report(
-      "c17", "1", classify_c17()));
-  EXPECT_EQ(plain.find("classify")->find("learned"), nullptr);
+    EXPECT_NE(name.rfind("learned.", 0), 0u) << name;
+  }
 }
 
-// The validator checks the learned block the closure block handed its
-// counters to (see ClosureBlockConformsToSchemaAndFeedsMetrics).
+// What the validator still checks of the classify block once the
+// closure and learned sub-blocks are gone: its required keys and the
+// rd_paths of a completed run.
 TEST(RunReportValidate, RejectsMalformedClosureBlock) {
-  RdIdentification rd = classify_c17();
-  rd.classify.learned_dropped = 1;
-  const JsonValue pristine = round_trip(classify_run_report("c17", "1", rd));
+  const JsonValue pristine =
+      round_trip(classify_run_report("c17", "1", classify_c17()));
   ASSERT_TRUE(validate_run_report(pristine).empty());
   JsonValue report = pristine;
 
-  JsonValue classify = *pristine.find("classify");
-  classify.set("learned", JsonValue::string("oops"));
+  JsonValue classify = JsonValue::object();
+  for (const auto& [key, value] : pristine.find("classify")->members())
+    if (key != "implication") classify.set(key, value);
   report.set("classify", classify);
   EXPECT_TRUE(has_problem(validate_run_report(report),
-                          "\"classify.learned\" is not an object"));
+                          "missing key \"implication\""));
 
   classify = *pristine.find("classify");
-  JsonValue no_dropped = JsonValue::object();
-  no_dropped.set("assignments", JsonValue::number(std::uint64_t{0}));
-  classify.set("learned", std::move(no_dropped));
+  classify.set("rd_paths", JsonValue::null());
   report.set("classify", classify);
   EXPECT_TRUE(has_problem(validate_run_report(report),
-                          "missing key \"dropped\" in classify.learned"));
-
-  classify = *pristine.find("classify");
-  JsonValue bad = *classify.find("learned");
-  bad.set("assignments", JsonValue::string("lots"));
-  classify.set("learned", std::move(bad));
-  report.set("classify", classify);
-  EXPECT_TRUE(has_problem(validate_run_report(report),
-                          "\"classify.learned.assignments\" is not a number"));
+                          "completed run has null \"rd_paths\""));
 }
 
 // ---- file output ----------------------------------------------------------

@@ -355,30 +355,27 @@ TEST(Session, IncrementalRequestsShareTheConeCache) {
 
 TEST(Session, ClosureRequestsShareTheEntryClosureAndStayIdentical) {
   // The per-entry closure table is gone (DESIGN.md §11): an entry now
-  // shares only its compiled circuit, and opted-in learned-tier
-  // requests reuse it like any other request.  The removed tier name
-  // is a typed refusal, never a silent fallback to the off tier.
+  // shares only its compiled circuit, and repeated requests reuse it
+  // with identical deterministic fields.  The removed tier selectors
+  // are typed refusals, never a silent fallback.
   CircuitCache cache(4);
   SessionConfig config;
   config.cache = &cache;
   Session session{config};
-  const std::string off_request =
+  const std::string request =
       "{\"op\": \"classify\", \"circuit\": {\"builtin\": \"c17\"}, "
       "\"heuristic\": \"2\"}";
-  const std::string learned_request =
-      "{\"op\": \"classify\", \"circuit\": {\"builtin\": \"c17\"}, "
-      "\"heuristic\": \"2\", \"implications\": \"learned\"}";
 
-  const JsonValue off = handle(session, off_request);
-  ASSERT_TRUE(validate_run_report(off).empty());
-  EXPECT_FALSE(off.find("serve")->find("cache_hit")->as_bool());
-  EXPECT_EQ(off.find("serve")->find("closure"), nullptr);
-  EXPECT_EQ(off.find("classify")->find("closure"), nullptr);
+  const JsonValue first = handle(session, request);
+  ASSERT_TRUE(validate_run_report(first).empty());
+  EXPECT_FALSE(first.find("serve")->find("cache_hit")->as_bool());
+  EXPECT_EQ(first.find("serve")->find("closure"), nullptr);
+  EXPECT_EQ(first.find("classify")->find("closure"), nullptr);
 
-  const JsonValue cold = handle(session, learned_request);
+  const JsonValue cold = handle(session, request);
   ASSERT_TRUE(validate_run_report(cold).empty());
   EXPECT_TRUE(cold.find("serve")->find("cache_hit")->as_bool());
-  const JsonValue warm = handle(session, learned_request);
+  const JsonValue warm = handle(session, request);
   ASSERT_TRUE(validate_run_report(warm).empty());
   EXPECT_TRUE(warm.find("serve")->find("cache_hit")->as_bool());
 
@@ -390,20 +387,24 @@ TEST(Session, ClosureRequestsShareTheEntryClosureAndStayIdentical) {
     }
     return projected.to_string();
   };
+  EXPECT_EQ(deterministic(first), deterministic(cold));
   EXPECT_EQ(deterministic(cold), deterministic(warm));
-  EXPECT_LE(cold.find("classify")->find("kept_paths")->as_uint64(),
-            off.find("classify")->find("kept_paths")->as_uint64());
 
-  const JsonValue refused = handle(
-      session,
-      "{\"op\": \"classify\", \"circuit\": {\"builtin\": \"c17\"}, "
-      "\"heuristic\": \"2\", \"implications\": \"closure\"}");
-  ASSERT_TRUE(validate_run_report(refused).empty());
-  EXPECT_EQ(refused.find("kind")->as_string(), "serve_error");
-  EXPECT_EQ(refused.find("error")->find("code")->as_string(), "bad_request");
-  EXPECT_NE(
-      refused.find("error")->find("message")->as_string().find("implications"),
-      std::string::npos);
+  for (const char* tier : {"closure", "learned"}) {
+    const JsonValue refused = handle(
+        session,
+        std::string("{\"op\": \"classify\", \"circuit\": {\"builtin\": "
+                    "\"c17\"}, \"heuristic\": \"2\", \"implications\": \"") +
+            tier + "\"}");
+    ASSERT_TRUE(validate_run_report(refused).empty());
+    EXPECT_EQ(refused.find("kind")->as_string(), "serve_error") << tier;
+    EXPECT_EQ(refused.find("error")->find("code")->as_string(), "bad_request")
+        << tier;
+    EXPECT_NE(refused.find("error")->find("message")->as_string().find(
+                  "implications"),
+              std::string::npos)
+        << tier;
+  }
 }
 
 TEST(Session, LanesOutOfRangeIsABadRequest) {
@@ -445,33 +446,107 @@ TEST(Session, Heuristic2PrerunAbortIsTyped) {
     EXPECT_FALSE(classify->find("completed")->as_bool()) << threads;
     EXPECT_EQ(classify->find("abort_reason")->as_string(), "work_budget")
         << threads;
+    // Like the CLI's aborted run: the structural total, no RD verdicts.
+    EXPECT_EQ(classify->find("total_logical")->as_uint64(), 17284u)
+        << threads;
   }
 }
 
+// A build aborted under the request's own guard reports the structural
+// path total for atpg requests too.
+TEST(Session, AtpgBuildAbortReportsTheStructuralTotal) {
+  Session session{SessionConfig{}};
+  const JsonValue report = handle(
+      session,
+      "{\"op\": \"atpg\", \"circuit\": {\"builtin\": \"c17\"}, "
+      "\"guard\": {\"inject_abort_after\": 1, "
+      "\"inject_abort_reason\": \"deadline\"}}");
+  ASSERT_TRUE(validate_run_report(report).empty());
+  EXPECT_EQ(report.find("kind")->as_string(), "atpg_run");
+  const JsonValue* classify = report.find("classify");
+  EXPECT_FALSE(classify->find("completed")->as_bool());
+  EXPECT_EQ(classify->find("abort_reason")->as_string(), "deadline");
+  EXPECT_EQ(classify->find("total_logical")->as_uint64(), 22u);
+}
+
+// The learned implication tier is gone (DESIGN.md §14): its request
+// field is an unknown key like any other, with or without incremental
+// mode, whatever its value.
 TEST(Session, LearnedTierWithIncrementalIsABadRequest) {
   Session session{SessionConfig{}};
-  const JsonValue refused = handle(
-      session,
-      "{\"op\": \"classify\", \"circuit\": {\"builtin\": \"c17\"}, "
-      "\"implications\": \"learned\", \"incremental\": true}");
-  ASSERT_TRUE(validate_run_report(refused).empty());
-  EXPECT_EQ(refused.find("kind")->as_string(), "serve_error");
-  EXPECT_EQ(refused.find("error")->find("code")->as_string(), "bad_request");
+  for (const char* extra :
+       {"\"implications\": \"learned\", \"incremental\": true",
+        "\"implications\": \"psychic\"", "\"implications\": \"learned\"",
+        "\"implications\": \"off\""}) {
+    const JsonValue refused = handle(
+        session,
+        std::string("{\"op\": \"classify\", \"circuit\": {\"builtin\": "
+                    "\"c17\"}, ") +
+            extra + "}");
+    ASSERT_TRUE(validate_run_report(refused).empty());
+    EXPECT_EQ(refused.find("kind")->as_string(), "serve_error") << extra;
+    EXPECT_EQ(refused.find("error")->find("code")->as_string(), "bad_request")
+        << extra;
+    EXPECT_NE(refused.find("error")->find("message")->as_string().find(
+                  "'implications'"),
+              std::string::npos)
+        << extra;
+  }
+}
 
-  const JsonValue bad_tier = handle(
-      session,
-      "{\"op\": \"classify\", \"circuit\": {\"builtin\": \"c17\"}, "
-      "\"implications\": \"psychic\"}");
-  EXPECT_EQ(bad_tier.find("kind")->as_string(), "serve_error");
-  EXPECT_EQ(bad_tier.find("error")->find("code")->as_string(), "bad_request");
+// Every op accepts only the keys its handler reads, at the top level
+// and inside "circuit" and "guard": a misspelled knob is a bad_request
+// naming it, never a run with the default.
+TEST(Session, UnknownRequestKeysAreBadRequests) {
+  Session session{SessionConfig{}};
+  const struct {
+    const char* body;
+    const char* field;
+  } cases[] = {
+      {"{\"op\": \"classify\", \"circuit\": {\"builtin\": \"c432\"}, "
+       "\"work_limt\": 100}",
+       "'work_limt'"},
+      {"{\"op\": \"classify\", \"circuit\": {\"builtin\": \"c17\", "
+       "\"bulitin\": \"c432\"}}",
+       "'circuit.bulitin'"},
+      {"{\"op\": \"classify\", \"circuit\": {\"builtin\": \"c17\"}, "
+       "\"guard\": {\"deadline\": 5}}",
+       "'guard.deadline'"},
+      {"{\"op\": \"atpg\", \"circuit\": {\"builtin\": \"c17\"}, "
+       "\"heuristic\": \"1\"}",
+       "'heuristic'"},
+      {"{\"op\": \"ping\", \"circuit\": {\"builtin\": \"c17\"}}",
+       "'circuit'"},
+      {"{\"op\": \"validate\", \"report\": {}, \"strict\": true}",
+       "'strict'"},
+  };
+  for (const auto& item : cases) {
+    const JsonValue refused = handle(session, item.body);
+    ASSERT_TRUE(validate_run_report(refused).empty()) << item.body;
+    EXPECT_EQ(refused.find("kind")->as_string(), "serve_error") << item.body;
+    EXPECT_EQ(refused.find("error")->find("code")->as_string(), "bad_request")
+        << item.body;
+    EXPECT_NE(
+        refused.find("error")->find("message")->as_string().find(item.field),
+        std::string::npos)
+        << item.body;
+  }
 
-  // The learned tier itself is fine outside incremental mode.
-  const JsonValue ok = handle(
+  // Every key a handler reads is still accepted.
+  const JsonValue classify = handle(
       session,
-      "{\"op\": \"classify\", \"circuit\": {\"builtin\": \"c17\"}, "
-      "\"implications\": \"learned\"}");
-  ASSERT_TRUE(validate_run_report(ok).empty());
-  EXPECT_EQ(ok.find("kind")->as_string(), "classify_run");
+      "{\"id\": 1, \"op\": \"classify\", \"circuit\": {\"name\": \"x\", "
+      "\"builtin\": \"c17\"}, \"heuristic\": \"2\", \"work_limit\": 100000, "
+      "\"threads\": 2, \"incremental\": false, \"guard\": {\"deadline_ms\": "
+      "60000, \"max_memory_mb\": 1024, \"inject_abort_after\": 0, "
+      "\"inject_abort_reason\": \"deadline\"}}");
+  EXPECT_EQ(classify.find("kind")->as_string(), "classify_run");
+  const JsonValue atpg = handle(
+      session,
+      "{\"id\": 2, \"op\": \"atpg\", \"circuit\": {\"builtin\": \"c17\"}, "
+      "\"max_paths\": 100, \"threads\": 1, \"guard\": {\"deadline_ms\": "
+      "60000}}");
+  EXPECT_EQ(atpg.find("kind")->as_string(), "atpg_run");
 }
 
 TEST(Session, ServePayloadExposesCachePressureCounters) {

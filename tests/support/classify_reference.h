@@ -1,8 +1,8 @@
 // Frozen pre-compilation serial classifier (classify_reference.cpp):
 // the DFS exactly as it stood before the compiled execution layer
 // (DESIGN.md §9).  Differential-test oracle and bench_micro baseline —
-// bit-identical deterministic fields to classify_paths_serial, only
-// slower.
+// bit-identical deterministic fields to classify_paths at every thread
+// count, only slower.
 #pragma once
 
 #include "core/classify.h"
