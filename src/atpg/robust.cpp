@@ -1,6 +1,9 @@
 #include "atpg/robust.h"
 
+#include <algorithm>
 #include <stdexcept>
+
+#include "atpg/path_fault_sim.h"
 
 namespace rd {
 
@@ -17,24 +20,12 @@ class RobustChecker {
         guard_(guard) {
     const std::size_t n = circuit.inputs().size();
     pi_waves_.assign(n, Wave::unknown());
-    pi_assigned_.assign(n, false);
     pi_index_of_gate_.assign(circuit.num_gates(), kNone);
     for (std::size_t i = 0; i < n; ++i)
       pi_index_of_gate_[circuit.inputs()[i]] = i;
-
-    // Per-gate PI support masks for decisive pruning (≤ 64 PIs; beyond
-    // that pruning is skipped and only full assignments are checked).
-    if (n <= 64) {
-      support_.assign(circuit.num_gates(), 0);
-      for (GateId id : circuit.topo_order()) {
-        const Gate& gate = circuit.gate(id);
-        if (gate.type == GateType::kInput) {
-          support_[id] = std::uint64_t{1} << pi_index_of_gate_[id];
-          continue;
-        }
-        for (GateId fanin : gate.fanins) support_[id] |= support_[fanin];
-      }
-    }
+    index_needed_gates();
+    waves_.assign(circuit.num_gates(), Wave::unknown());
+    queued_.assign(circuit.num_gates(), 0);
   }
 
   std::optional<RobustTest> search() {
@@ -42,12 +33,13 @@ class RobustChecker {
     const GateId pi = path_pi(circuit_, path_.path);
     const std::size_t pi_index = pi_index_of_gate_[pi];
     pi_waves_[pi_index] = Wave::transition(path_.final_pi_value);
-    pi_assigned_[pi_index] = true;
+    assign(pi_index);
+    simulate_needed();
 
     // Decision order: remaining PIs by index.
     decision_order_.clear();
     for (std::size_t i = 0; i < pi_waves_.size(); ++i)
-      if (!pi_assigned_[i]) decision_order_.push_back(i);
+      if (i != pi_index) decision_order_.push_back(i);
 
     if (recurse(0)) return pi_waves_;
     return std::nullopt;
@@ -56,19 +48,138 @@ class RobustChecker {
   /// Search nodes expanded so far (valid even after a budget throw).
   std::uint64_t nodes() const { return nodes_; }
 
+ private:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  /// Collects and indexes the gates check() reads — each on-path
+  /// driver and every side input of an on-path gate — closed under
+  /// fanin.  That is the fanin cone of the path's last gate, since a
+  /// valid path ends at a PO marker fed by that gate alone.  Only these
+  /// gates are ever simulated.  Alongside: PI support masks for decisive
+  /// pruning (≤ 64 PIs; beyond that pruning is skipped and only full
+  /// assignments are checked), each needed gate's needed sinks, and one
+  /// slot per needed gate in its level's bucket.
+  void index_needed_gates() {
+    needed_gates_ =
+        circuit_.fanin_cone(circuit_.lead(path_.path.leads.back()).driver);
+    needed_.assign(circuit_.num_gates(), 0);
+    for (GateId id : needed_gates_) needed_[id] = 1;
+    const bool masks = pi_waves_.size() <= 64;
+    if (masks) support_.assign(circuit_.num_gates(), 0);
+    std::vector<std::uint32_t> level_count(circuit_.max_level() + 1, 0);
+    std::size_t widest = 0;
+    for (GateId id : needed_gates_) {
+      ++level_count[circuit_.level(id)];
+      const Gate& gate = circuit_.gate(id);
+      widest = std::max(widest, gate.fanins.size());
+      if (!masks) continue;
+      if (gate.type == GateType::kInput) {
+        support_[id] = std::uint64_t{1} << pi_index_of_gate_[id];
+        continue;
+      }
+      for (GateId fanin : gate.fanins) support_[id] |= support_[fanin];
+    }
+    fanin_waves_.resize(widest);
+    sink_begin_.assign(circuit_.num_gates() + 1, 0);
+    for (GateId id = 0; id < circuit_.num_gates(); ++id) {
+      sink_begin_[id] = static_cast<std::uint32_t>(sinks_.size());
+      if (!needed_[id]) continue;
+      for (LeadId lead_id : circuit_.gate(id).fanout_leads) {
+        const GateId sink = circuit_.lead(lead_id).sink;
+        if (needed_[sink]) sinks_.push_back(sink);
+      }
+    }
+    sink_begin_[circuit_.num_gates()] =
+        static_cast<std::uint32_t>(sinks_.size());
+    level_begin_.assign(level_count.size(), 0);
+    std::uint32_t slots = 0;
+    for (std::size_t level = 0; level < level_count.size(); ++level) {
+      level_begin_[level] = slots;
+      slots += level_count[level];
+    }
+    level_fill_.assign(level_count.size(), 0);
+    slots_.resize(slots);
+  }
+
+  /// Fills waves_ for every needed gate from pi_waves_ in one
+  /// topological pass.
+  void simulate_needed() {
+    for (GateId id : needed_gates_) {
+      const Gate& gate = circuit_.gate(id);
+      waves_[id] = gate.type == GateType::kInput
+                       ? pi_waves_[pi_index_of_gate_[id]]
+                       : eval(gate);
+    }
+  }
+
+  Wave eval(const Gate& gate) {
+    const std::size_t count = gate.fanins.size();
+    for (std::size_t pin = 0; pin < count; ++pin)
+      fanin_waves_[pin] = waves_[gate.fanins[pin]];
+    return eval_gate_wave(gate.type, fanin_waves_.data(), count);
+  }
+
+  /// Sets PI `pi_index` to `wave` and brings waves_ up to date: only
+  /// needed gates in the PI's fanout cone whose fanins changed are
+  /// re-evaluated, level by level (a gate's level exceeds every
+  /// fanin's, so each queued gate is evaluated once, after all its
+  /// changed fanins), and propagation stops at every gate whose wave
+  /// comes out unchanged.
+  void set_pi(std::size_t pi_index, Wave wave) {
+    pi_waves_[pi_index] = wave;
+    const GateId pi = circuit_.inputs()[pi_index];
+    if (!needed_[pi]) return;
+    waves_[pi] = wave;
+    std::uint32_t top = 0;
+    schedule_sinks(pi, top);
+    for (std::uint32_t level = 1; level <= top; ++level) {
+      const std::uint32_t begin = level_begin_[level];
+      for (std::uint32_t k = 0; k < level_fill_[level]; ++k) {
+        const GateId id = slots_[begin + k];
+        queued_[id] = 0;
+        const Wave out = eval(circuit_.gate(id));
+        if (out == waves_[id]) continue;
+        waves_[id] = out;
+        schedule_sinks(id, top);
+      }
+      level_fill_[level] = 0;
+    }
+  }
+
+  /// Queues the needed sinks of `gate` into their level buckets
+  /// (strictly above `gate`'s level); `top` tracks the highest level
+  /// queued.
+  void schedule_sinks(GateId gate, std::uint32_t& top) {
+    const std::uint32_t end = sink_begin_[gate + 1];
+    for (std::uint32_t k = sink_begin_[gate]; k < end; ++k) {
+      const GateId sink = sinks_[k];
+      if (queued_[sink]) continue;
+      queued_[sink] = 1;
+      const std::uint32_t level = circuit_.level(sink);
+      slots_[level_begin_[level] + level_fill_[level]++] = sink;
+      top = std::max(top, level);
+    }
+  }
+
+  void assign(std::size_t pi_index) {
+    if (!support_.empty()) assigned_ |= std::uint64_t{1} << pi_index;
+  }
+  void unassign(std::size_t pi_index) {
+    if (!support_.empty()) assigned_ &= ~(std::uint64_t{1} << pi_index);
+  }
+
   /// Evaluates the robust conditions for the current (partial)
   /// assignment.  Unassigned PIs contribute unknown waveforms; a
   /// constraint is only declared violated when every PI in its support
   /// is assigned (the evaluation is then exact).
   Status check() const {
-    const auto waves = simulate_waves();
     bool undecided = false;
     bool expected = path_.final_pi_value;
     for (LeadId lead_id : path_.path.leads) {
       const Lead& lead = circuit_.lead(lead_id);
       const Gate& sink = circuit_.gate(lead.sink);
       // On-path transition must arrive cleanly with the right polarity.
-      const Wave& on_path = waves[lead.driver];
+      const Wave& on_path = waves_[lead.driver];
       if (!(on_path.clean && on_path.has_transition() &&
             to_bool(on_path.final) == expected)) {
         if (decisive(lead.driver)) return Status::kViolated;
@@ -80,7 +191,7 @@ class RobustChecker {
         for (std::uint32_t pin = 0; pin < sink.fanins.size(); ++pin) {
           if (pin == lead.pin) continue;
           const GateId side = sink.fanins[pin];
-          const Wave& wave = waves[side];
+          const Wave& wave = waves_[side];
           bool ok;
           if (on_path_final_nc) {
             // Side must settle cleanly on non-controlling (steady or a
@@ -101,9 +212,6 @@ class RobustChecker {
     return undecided ? Status::kUndecided : Status::kSatisfied;
   }
 
- private:
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-
   bool recurse(std::size_t depth) {
     if (++nodes_ > max_nodes_)
       throw GuardTrippedError(AbortReason::kWorkBudget);
@@ -114,11 +222,10 @@ class RobustChecker {
         return false;
       case Status::kSatisfied:
         // Fill remaining PIs with arbitrary steady values so the
-        // returned test is concrete.
-        for (std::size_t i = depth; i < decision_order_.size(); ++i) {
+        // returned test is concrete (the search ends here, so waves_
+        // need not follow).
+        for (std::size_t i = depth; i < decision_order_.size(); ++i)
           pi_waves_[decision_order_[i]] = Wave::steady(false);
-          pi_assigned_[decision_order_[i]] = true;
-        }
         return true;
       case Status::kUndecided:
         break;
@@ -129,41 +236,20 @@ class RobustChecker {
                                         Wave{Value3::kOne, Value3::kOne, true},
                                         Wave{Value3::kZero, Value3::kOne, true},
                                         Wave{Value3::kOne, Value3::kZero, true}};
-    pi_assigned_[pi_index] = true;
+    assign(pi_index);
     for (const Wave& choice : kChoices) {
-      pi_waves_[pi_index] = choice;
+      set_pi(pi_index, choice);
       if (recurse(depth + 1)) return true;
     }
-    pi_waves_[pi_index] = Wave::unknown();
-    pi_assigned_[pi_index] = false;
+    set_pi(pi_index, Wave::unknown());
+    unassign(pi_index);
     return false;
   }
 
   /// True if every PI feeding `gate` is assigned (its wave is exact).
+  /// Only decidable with ≤ 64 PIs; beyond that nothing is decisive.
   bool decisive(GateId gate) const {
-    if (support_.empty()) return false;
-    std::uint64_t mask = support_[gate];
-    while (mask != 0) {
-      const int bit = __builtin_ctzll(mask);
-      if (!pi_assigned_[static_cast<std::size_t>(bit)]) return false;
-      mask &= mask - 1;
-    }
-    return true;
-  }
-
-  std::vector<Wave> simulate_waves() const {
-    std::vector<Wave> waves(circuit_.num_gates(), Wave::unknown());
-    for (std::size_t i = 0; i < pi_waves_.size(); ++i)
-      waves[circuit_.inputs()[i]] = pi_waves_[i];
-    std::vector<Wave> scratch;
-    for (GateId id : circuit_.topo_order()) {
-      const Gate& gate = circuit_.gate(id);
-      if (gate.type == GateType::kInput) continue;
-      scratch.clear();
-      for (GateId fanin : gate.fanins) scratch.push_back(waves[fanin]);
-      waves[id] = eval_gate_wave(gate.type, scratch.data(), scratch.size());
-    }
-    return waves;
+    return !support_.empty() && (support_[gate] & ~assigned_) == 0;
   }
 
   const Circuit& circuit_;
@@ -172,10 +258,20 @@ class RobustChecker {
   ExecGuard* guard_;
   std::uint64_t nodes_ = 0;
   std::vector<Wave> pi_waves_;
-  std::vector<bool> pi_assigned_;
   std::vector<std::size_t> pi_index_of_gate_;
   std::vector<std::uint64_t> support_;
+  std::uint64_t assigned_ = 0;  // PI bitmask, kept only when ≤ 64 PIs
   std::vector<std::size_t> decision_order_;
+  std::vector<GateId> needed_gates_;       // in topological order
+  std::vector<std::uint8_t> needed_;       // gate is in needed_gates_
+  std::vector<Wave> waves_;                // current wave of every needed gate
+  std::vector<std::uint32_t> sink_begin_;  // gate -> its range of sinks_
+  std::vector<GateId> sinks_;              // needed sinks of needed gates
+  std::vector<std::uint32_t> level_begin_;  // level -> its range of slots_
+  std::vector<std::uint32_t> level_fill_;   // queued gates per level
+  std::vector<GateId> slots_;              // the level buckets
+  std::vector<std::uint8_t> queued_;       // gate sits in a bucket
+  std::vector<Wave> fanin_waves_;          // eval() scratch, widest needed gate
 };
 
 }  // namespace
@@ -217,52 +313,12 @@ bool is_robustly_testable(const Circuit& circuit, const LogicalPath& path) {
 bool robust_test_is_valid(const Circuit& circuit, const LogicalPath& path,
                           const RobustTest& test) {
   if (test.size() != circuit.inputs().size()) return false;
-  // Re-simulate and apply the full condition check with every PI
-  // assigned: every constraint is decisive.
-  std::vector<Wave> waves(circuit.num_gates(), Wave::unknown());
-  for (std::size_t i = 0; i < test.size(); ++i) {
-    const Wave& wave = test[i];
+  for (const Wave& wave : test)
     if (!wave.clean || !is_known(wave.initial) || !is_known(wave.final))
       return false;
-    waves[circuit.inputs()[i]] = wave;
-  }
-  std::vector<Wave> scratch;
-  for (GateId id : circuit.topo_order()) {
-    const Gate& gate = circuit.gate(id);
-    if (gate.type == GateType::kInput) continue;
-    scratch.clear();
-    for (GateId fanin : gate.fanins) scratch.push_back(waves[fanin]);
-    waves[id] = eval_gate_wave(gate.type, scratch.data(), scratch.size());
-  }
-
-  const GateId pi = path_pi(circuit, path.path);
-  const Wave& launch = waves[pi];
-  if (!(launch.has_transition() && to_bool(launch.final) == path.final_pi_value))
-    return false;
-  bool expected = path.final_pi_value;
-  for (LeadId lead_id : path.path.leads) {
-    const Lead& lead = circuit.lead(lead_id);
-    const Gate& sink = circuit.gate(lead.sink);
-    const Wave& on_path = waves[lead.driver];
-    if (!(on_path.clean && on_path.has_transition() &&
-          to_bool(on_path.final) == expected))
-      return false;
-    if (has_controlling_value(sink.type)) {
-      const bool nc = noncontrolling_value(sink.type);
-      const bool on_path_final_nc = expected == nc;
-      for (std::uint32_t pin = 0; pin < sink.fanins.size(); ++pin) {
-        if (pin == lead.pin) continue;
-        const Wave& wave = waves[sink.fanins[pin]];
-        if (on_path_final_nc) {
-          if (!(wave.clean && wave.final == to_value3(nc))) return false;
-        } else {
-          if (!(wave.is_steady() && wave.final == to_value3(nc))) return false;
-        }
-      }
-    }
-    if (inverts(sink.type)) expected = !expected;
-  }
-  return true;
+  return classify_path_detection(circuit, path,
+                                 simulate_waves(circuit, test)) ==
+         DetectionClass::kRobust;
 }
 
 }  // namespace rd

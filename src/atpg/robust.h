@@ -11,11 +11,18 @@
 //   * if its final value is controlling: every side input is *steady*
 //     non-controlling.
 //
-// The checker searches over per-PI waveform assignments {S0,S1,R,F}
-// with constraint propagation by full waveform resimulation; it is
-// exact (complete search) and intended for small circuits — the
-// paper's example-circuit experiments (Figures 2-4) and the test
-// suite's fault-coverage cross-checks.
+// The checker is an exact (complete) search over per-PI waveform
+// assignments {S0,S1,R,F}, PIs decided in index order.  At every node
+// it evaluates the conditions above on the gates they read: the on-path
+// drivers and the side inputs of the on-path gates, closed under fanin
+// (the path's *needed* gates: the fanin cone of its last gate).  Their
+// waves live in one buffer, filled once per search and then updated
+// incrementally: a decision that sets, changes or clears a PI
+// re-evaluates only the needed gates of that PI's fanout cone whose
+// fanins changed, in level order, stopping wherever a wave comes out
+// unchanged.  A constraint is declared violated only once every PI in
+// its support is assigned (decidable with ≤ 64 PIs; wider circuits
+// prune only at full assignments).
 #pragma once
 
 #include <cstdint>
